@@ -11,7 +11,7 @@ empty continuation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import Activity, Trace, WILDCARD_LABEL
@@ -78,8 +78,11 @@ class Dfa:
     moves: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
+    # Column of each named activity, built once rather than per `accepts`.
+    _columns: dict[Activity, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_columns", {a: i for i, a in enumerate(self.named)})
         n = len(self.moves)
         width = len(self.named) + 1
         for row in self.moves:
@@ -94,23 +97,13 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.moves)
 
-    def symbol_index(self, activity: Activity) -> int:
-        """Column for an activity: its named slot, or the wildcard column."""
-        try:
-            return self.named.index(activity)
-        except ValueError:
-            return len(self.named)
-
-    def step(self, state: int, activity: Activity) -> int:
-        return self.moves[state][self.symbol_index(activity)]
-
     def accepts(self, events: tuple[Activity, ...]) -> bool:
-        index = {a: i for i, a in enumerate(self.named)}
+        columns = self._columns
         other = len(self.named)
         state = self.initial
         moves = self.moves
         for ev in events:
-            state = moves[state][index.get(ev, other)]
+            state = moves[state][columns.get(ev, other)]
         return state in self.accepting
 
 
@@ -349,25 +342,6 @@ def complement(dfa: Dfa) -> Dfa:
     """Swap the accepting set; valid because the table is total."""
     rejected = frozenset(range(dfa.n_states)) - dfa.accepting
     return Dfa(named=dfa.named, moves=dfa.moves, initial=dfa.initial, accepting=rejected)
-
-
-def align(dfa: Dfa, named: tuple[Activity, ...]) -> Dfa:
-    """Re-express the DFA over a named superset; new symbols follow the wildcard."""
-    if tuple(named) == dfa.named:
-        return dfa
-    missing = [a for a in dfa.named if a not in named]
-    if missing:
-        raise ValueError(f"target alphabet drops named symbols {missing}")
-    old_other = len(dfa.named)
-    columns = []
-    for a in named:
-        try:
-            columns.append(dfa.named.index(a))
-        except ValueError:
-            columns.append(old_other)
-    columns.append(old_other)
-    rows = tuple(tuple(row[c] for c in columns) for row in dfa.moves)
-    return Dfa(named=tuple(named), moves=rows, initial=dfa.initial, accepting=dfa.accepting)
 
 
 def product(left: Dfa, right: Dfa, combine=lambda a, b: a and b) -> Dfa:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -89,7 +88,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--backend", type=_backend, default=Backend.DIRECT)
     p.add_argument("--out", help="write a report file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("query", help="enumerate bindings meeting a support threshold")
     p.add_argument("--log", required=True)
@@ -148,11 +147,10 @@ def _emit(path: str, text: str) -> None:
 def _cmd_check(args) -> int:
     log = load_log(args.log)
     model = load_model(args.model)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
+    if args.threads < 1:
         raise ValueError("--threads must be at least 1")
     started = time.perf_counter()
-    report = conformance_check(log, model, args.backend, threads=threads)
+    report = conformance_check(log, model, args.backend, threads=args.threads)
     elapsed = time.perf_counter() - started
     if args.out:
         data = write_report(report, args.format, log_name=args.log, model_name=args.model)

@@ -97,6 +97,23 @@ class Trace:
         return self.events[i]
 
 
+# Ascending positions of each activity of a trace; absent activities have no entry.
+PositionIndex = dict[Activity, list[int]]
+
+
+def index_positions(events: tuple[Activity, ...]) -> PositionIndex:
+    """Index a trace in one pass, so that the checks of many constraints
+    on it share the index instead of each rescanning the events."""
+    index: PositionIndex = {}
+    for t, ev in enumerate(events):
+        pos = index.get(ev)
+        if pos is None:
+            index[ev] = [t]
+        else:
+            pos.append(t)
+    return index
+
+
 class EventLog:
     """An ordered collection of traces with unique ids.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import Activity, Constraint, TemplateKind, Trace
+from .core import Constraint, PositionIndex, TemplateKind, Trace, index_positions
 from .ltlf import ev_empty, template_formula
 
 # Reason tags, stable for report consumers.
@@ -41,8 +41,9 @@ class DirectVerdict:
 
     `failures` is empty exactly when `sat` holds; positions are None for
     whole-trace conditions. `witnesses` maps each discharged activation
-    position to its witness position. `steps` counts scan iterations,
-    which stay linear in trace length plus occurrence count.
+    position to its witness position. `steps` counts rule iterations
+    over the activation and target positions, linear in their number;
+    the position index, shared per trace, is not counted.
     """
 
     sat: bool
@@ -51,11 +52,10 @@ class DirectVerdict:
     steps: int = field(default=0, compare=False)
 
 
-def _positions(events: tuple[Activity, ...], act: Activity) -> list[int]:
-    return [t for t, ev in enumerate(events) if ev is act]
+# Rules share one signature (events, act, tgt, act_pos, tgt_pos, failures,
+# witnesses); each adds failures and witnesses in place and returns its steps.
 
-
-def _response(events, act_pos, tgt_pos, failures, witnesses) -> int:
+def _response(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
     """Every activation needs the target strictly later."""
     steps = 0
     j = 0
@@ -72,7 +72,7 @@ def _response(events, act_pos, tgt_pos, failures, witnesses) -> int:
     return steps
 
 
-def _alternate_response(events, act_pos, tgt_pos, failures, witnesses) -> int:
+def _alternate_response(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
     """Every activation needs the target before the next activation."""
     steps = 0
     j = 0
@@ -90,7 +90,7 @@ def _alternate_response(events, act_pos, tgt_pos, failures, witnesses) -> int:
     return steps
 
 
-def _chain_response(events, act_pos, tgt, failures, witnesses) -> int:
+def _chain_response(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
     """Every activation needs the target at the very next position."""
     n = len(events)
     for t in act_pos:
@@ -101,7 +101,7 @@ def _chain_response(events, act_pos, tgt, failures, witnesses) -> int:
     return len(act_pos)
 
 
-def _precedence(act_pos, tgt_pos, failures) -> int:
+def _precedence(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
     """No target before the first activation; targets need some activation."""
     steps = 0
     if not tgt_pos:
@@ -121,14 +121,14 @@ def _precedence(act_pos, tgt_pos, failures) -> int:
     return steps
 
 
-def _alternate_precedence(act_pos, tgt_pos, failures) -> int:
+def _alternate_precedence(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
     """Precedence plus: consecutive targets enclose at least one activation.
 
     The enclosure test counts activations in the closed interval between
     the two target positions, so a shared activation/target activity can
     never trigger it (the endpoints themselves count).
     """
-    steps = _precedence(act_pos, tgt_pos, failures)
+    steps = _precedence(events, act, tgt, act_pos, tgt_pos, failures, witnesses)
     j = 0
     m = len(act_pos)
     for prev, cur in zip(tgt_pos, tgt_pos[1:]):
@@ -141,7 +141,7 @@ def _alternate_precedence(act_pos, tgt_pos, failures) -> int:
     return steps
 
 
-def _alt_succession_precedence(act_pos, tgt_pos, failures) -> int:
+def _alt_succession_precedence(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
     """Each target needs an activation after the previous target."""
     steps = 0
     j = 0
@@ -158,7 +158,7 @@ def _alt_succession_precedence(act_pos, tgt_pos, failures) -> int:
     return steps
 
 
-def _chain_precedence(events, act, tgt_pos, failures) -> int:
+def _chain_precedence(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
     """Every target sits right after an activation; none may open the trace."""
     for t in tgt_pos:
         if t == 0:
@@ -168,79 +168,97 @@ def _chain_precedence(events, act, tgt_pos, failures) -> int:
     return len(tgt_pos)
 
 
+def _choice(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
+    if not act_pos and not tgt_pos:
+        failures.append((None, NO_ALTERNATIVE_OCCURRED))
+    return 0
+
+
+def _exclusive_choice(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
+    if act_pos and tgt_pos:
+        failures.append((None, BOTH_ALTERNATIVES_OCCURRED))
+    elif not act_pos and not tgt_pos:
+        failures.append((None, NO_ALTERNATIVE_OCCURRED))
+    return 0
+
+
+def _responded_existence(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
+    if act_pos and not tgt_pos:
+        failures.append((act_pos[0], ACTIVATION_WITHOUT_TARGET))
+    return 0
+
+
+def _coexistence(events, act, tgt, act_pos, tgt_pos, failures, witnesses) -> int:
+    if act_pos and not tgt_pos:
+        failures.append((act_pos[0], OCCURS_WITHOUT_COUNTERPART))
+    elif tgt_pos and not act_pos:
+        failures.append((tgt_pos[0], OCCURS_WITHOUT_COUNTERPART))
+    return 0
+
+
+_K = TemplateKind
+# Each kind's rules, run in order on the same failure and witness lists.
+_RULES = {
+    _K.RESPONSE: (_response,),
+    _K.ALTERNATE_RESPONSE: (_alternate_response,),
+    _K.CHAIN_RESPONSE: (_chain_response,),
+    _K.PRECEDENCE: (_precedence,),
+    _K.ALTERNATE_PRECEDENCE: (_alternate_precedence,),
+    _K.CHAIN_PRECEDENCE: (_chain_precedence,),
+    _K.SUCCESSION: (_response, _precedence),
+    _K.ALTERNATE_SUCCESSION: (_alternate_response, _alt_succession_precedence),
+    _K.CHAIN_SUCCESSION: (_chain_response, _chain_precedence),
+    _K.CHOICE: (_choice,),
+    _K.EXCLUSIVE_CHOICE: (_exclusive_choice,),
+    _K.RESPONDED_EXISTENCE: (_responded_existence,),
+    _K.COEXISTENCE: (_coexistence,),
+}
+
+
 def check_direct(
     constraint: Constraint,
     trace: Trace,
     *,
     include_last_target_rule: bool = False,
+    index: PositionIndex | None = None,
 ) -> DirectVerdict:
     """Evaluate one constraint on one trace by positional rules.
 
     `include_last_target_rule` enables a stricter AlternateSuccession
     reading under which a trace ending with the target is rejected; it is
     off by default because the default semantics match the other two
-    backends exactly.
+    backends exactly. `index` is the trace's `index_positions`, shared by
+    callers that check many constraints on one trace; without it the
+    index is built here, in one pass over the events.
     """
     events = trace.events
     kind = constraint.kind
     act = constraint.activation
     tgt = constraint.target
-    K = TemplateKind
 
     if not events:
         sat = ev_empty(template_formula(kind, act, tgt))
         failures = () if sat else ((None, EMPTY_TRACE),)
         return DirectVerdict(sat=sat, failures=failures, witnesses={}, steps=0)
 
-    act_pos = _positions(events, act)
-    tgt_pos = _positions(events, tgt)
-    steps = 2 * len(events)
+    rules = _RULES.get(kind)
+    if rules is None:
+        raise ValueError(f"unhandled template kind {kind!r}")
+    if index is None:
+        index = index_positions(events)
+    act_pos = index.get(act, ())
+    tgt_pos = index.get(tgt, ())
     failures: list[Failure] = []
     witnesses: dict[int, int] = {}
+    steps = 0
+    for rule in rules:
+        steps += rule(events, act, tgt, act_pos, tgt_pos, failures, witnesses)
+    if include_last_target_rule and kind is _K.ALTERNATE_SUCCESSION and events[-1] is tgt:
+        failures.append((len(events) - 1, TRACE_ENDS_WITH_TARGET))
 
-    if kind is K.RESPONSE:
-        steps += _response(events, act_pos, tgt_pos, failures, witnesses)
-    elif kind is K.ALTERNATE_RESPONSE:
-        steps += _alternate_response(events, act_pos, tgt_pos, failures, witnesses)
-    elif kind is K.CHAIN_RESPONSE:
-        steps += _chain_response(events, act_pos, tgt, failures, witnesses)
-    elif kind is K.PRECEDENCE:
-        steps += _precedence(act_pos, tgt_pos, failures)
-    elif kind is K.ALTERNATE_PRECEDENCE:
-        steps += _alternate_precedence(act_pos, tgt_pos, failures)
-    elif kind is K.CHAIN_PRECEDENCE:
-        steps += _chain_precedence(events, act, tgt_pos, failures)
-    elif kind is K.SUCCESSION:
-        steps += _response(events, act_pos, tgt_pos, failures, witnesses)
-        steps += _precedence(act_pos, tgt_pos, failures)
-    elif kind is K.ALTERNATE_SUCCESSION:
-        steps += _alternate_response(events, act_pos, tgt_pos, failures, witnesses)
-        steps += _alt_succession_precedence(act_pos, tgt_pos, failures)
-        if include_last_target_rule and events[-1] is tgt:
-            failures.append((len(events) - 1, TRACE_ENDS_WITH_TARGET))
-    elif kind is K.CHAIN_SUCCESSION:
-        steps += _chain_response(events, act_pos, tgt, failures, witnesses)
-        steps += _chain_precedence(events, act, tgt_pos, failures)
-    elif kind is K.CHOICE:
-        if not act_pos and not tgt_pos:
-            failures.append((None, NO_ALTERNATIVE_OCCURRED))
-    elif kind is K.EXCLUSIVE_CHOICE:
-        if act_pos and tgt_pos:
-            failures.append((None, BOTH_ALTERNATIVES_OCCURRED))
-        elif not act_pos and not tgt_pos:
-            failures.append((None, NO_ALTERNATIVE_OCCURRED))
-    elif kind is K.RESPONDED_EXISTENCE:
-        if act_pos and not tgt_pos:
-            failures.append((act_pos[0], ACTIVATION_WITHOUT_TARGET))
-    elif kind is K.COEXISTENCE:
-        if act_pos and not tgt_pos:
-            failures.append((act_pos[0], OCCURS_WITHOUT_COUNTERPART))
-        elif tgt_pos and not act_pos:
-            failures.append((tgt_pos[0], OCCURS_WITHOUT_COUNTERPART))
-    else:
-        raise ValueError(f"unhandled template kind {kind!r}")
-
-    failures.sort(key=lambda fl: (fl[0] is None, fl[0] if fl[0] is not None else 0, fl[1]))
+    if len(failures) > 1:
+        # Whole-trace (None) failures come alone, so these are (position, tag) pairs.
+        failures.sort()
     return DirectVerdict(
         sat=not failures,
         failures=tuple(failures),

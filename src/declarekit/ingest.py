@@ -57,9 +57,17 @@ class _FactScanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._mark = self._newlines = 0  # newlines before offset _mark
 
     def line(self, pos: int | None = None) -> int:
-        return self.text.count("\n", 0, self.pos if pos is None else pos) + 1
+        """Line of `pos` (default: the cursor). Offsets come in ascending
+        order, so counting on from the previous one keeps parsing linear."""
+        pos = self.pos if pos is None else pos
+        if pos < self._mark:
+            self._mark = self._newlines = 0
+        self._newlines += self.text.count("\n", self._mark, pos)
+        self._mark = pos
+        return self._newlines + 1
 
     def skip_ws(self) -> None:
         m = _WS_RE.match(self.text, self.pos)

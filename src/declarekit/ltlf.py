@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable
 
-from .core import Activity, TemplateKind, Trace
+from .core import Activity, PositionIndex, TemplateKind, Trace, index_positions
 
 
 class Formula:
@@ -416,7 +416,7 @@ def pretty(f: Formula) -> str:
 
 
 # --------------------------------------------------------------------------
-# Node enumeration and reification
+# Node enumeration
 
 def subformulas(f: Formula) -> list[Formula]:
     """All nodes in preorder; a node's id is its position in this list."""
@@ -427,43 +427,6 @@ def subformulas(f: Formula) -> list[Formula]:
         out.append(node)
         stack.extend(reversed(node.children()))
     return out
-
-
-_OP_NAMES: dict[type, str] = {
-    TrueConst: "true",
-    FalseConst: "false",
-    Not: "not",
-    And: "and",
-    Or: "or",
-    Implies: "implies",
-    Iff: "iff",
-    Next: "next",
-    WeakNext: "weak_next",
-    Until: "until",
-    Release: "release",
-    WeakUntil: "weak_until",
-    Eventually: "eventually",
-    Globally: "globally",
-}
-
-
-def reify(f: Formula) -> list[tuple[int, str, tuple[int, ...]]]:
-    """Flatten to (node id, operator, child ids) facts with preorder ids."""
-    facts = []
-    cursor = 0
-
-    def walk(node: Formula) -> int:
-        nonlocal cursor
-        my_id = cursor
-        cursor += 1
-        child_ids = tuple(walk(c) for c in node.children())
-        op = f"atom:{node.activity.label}" if isinstance(node, Atom) else _OP_NAMES[type(node)]
-        facts.append((my_id, op, child_ids))
-        return my_id
-
-    walk(f)
-    facts.sort(key=lambda t: t[0])
-    return facts
 
 
 # --------------------------------------------------------------------------
@@ -676,21 +639,16 @@ def _plan(f: Formula) -> tuple[tuple[tuple[int, tuple[int, ...], Activity | None
     return tuple(steps), tuple(pre_ids)
 
 
-def _eval_masks(steps, events: tuple[Activity, ...]) -> list[int]:
-    n = len(events)
+def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
+    """Per-slot masks over a trace of n > 0 events with position index `index`."""
     full = (1 << n) - 1
     last_bit = 1 << (n - 1)
-    occ: dict[Activity, int] = {}
     masks: list[int] = []
     for op, kids, atom in steps:
         if op == _OP_ATOM:
-            m = occ.get(atom)
-            if m is None:
-                m = 0
-                for t, ev in enumerate(events):
-                    if ev is atom:
-                        m |= 1 << t
-                occ[atom] = m
+            m = 0
+            for t in index.get(atom, ()):
+                m |= 1 << t
         elif op == _OP_TRUE:
             m = full
         elif op == _OP_FALSE:
@@ -746,13 +704,33 @@ def _eval_masks(steps, events: tuple[Activity, ...]) -> list[int]:
     return masks
 
 
+def tree_checker(f: Formula) -> Callable[..., bool]:
+    """Resolve f's evaluation plan once; `holds(trace, index=None)` is eval_tree.
+
+    `index` is the trace's `index_positions`, shared by callers that
+    evaluate many formulas on one trace; without it, holds builds it.
+    """
+    steps, _ = _plan(f)
+    empty = ev_empty(f)
+
+    def holds(trace: Trace, index: PositionIndex | None = None) -> bool:
+        events = trace.events
+        if not events:
+            return empty
+        if index is None:
+            index = index_positions(events)
+        return bool(_eval_masks(steps, len(events), index)[-1] & 1)
+
+    return holds
+
+
 def eval_tree(f: Formula, trace: Trace) -> bool:
     """Satisfaction of f at position 0, or ev_empty(f) on the empty trace."""
     events = trace.events
     if not events:
         return ev_empty(f)
     steps, _ = _plan(f)
-    return bool(_eval_masks(steps, events)[-1] & 1)
+    return bool(_eval_masks(steps, len(events), index_positions(events))[-1] & 1)
 
 
 def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
@@ -765,7 +743,7 @@ def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
     if not events:
         return {}
     steps, pre_ids = _plan(f)
-    masks = _eval_masks(steps, events)
+    masks = _eval_masks(steps, len(events), index_positions(events))
     table: dict[tuple[int, int], bool] = {}
     for slot, node_id in enumerate(pre_ids):
         m = masks[slot]

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .automata import template_dfa
-from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, Trace
+from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, Trace, index_positions
 from .direct import check_direct
-from .ltlf import eval_tree, template_formula
+from .ltlf import template_formula, tree_checker
 
 
 class Backend(Enum):
@@ -42,16 +42,20 @@ class EmptyLogError(ValueError):
     """Raised for tasks whose result is undefined on a log with no traces."""
 
 
-def make_checker(constraint: Constraint, backend: Backend) -> Callable[[Trace], bool]:
-    """Bind a constraint to one backend, precompiling what the backend needs."""
+def make_checker(constraint: Constraint, backend: Backend) -> Callable[..., bool]:
+    """Bind a constraint to one backend, precompiling what the backend needs.
+
+    Call it as `checker(trace, index=None)`, passing the trace's shared
+    `index_positions` when there is one; dfa ignores it, the others build it.
+    """
     if backend is Backend.DIRECT:
-        return lambda trace: check_direct(constraint, trace).sat
+        return lambda trace, index=None: check_direct(constraint, trace, index=index).sat
     if backend is Backend.TREE:
         formula = template_formula(constraint.kind, constraint.activation, constraint.target)
-        return lambda trace: eval_tree(formula, trace)
+        return tree_checker(formula)
     if backend is Backend.DFA:
         dfa = template_dfa(constraint.kind, constraint.activation, constraint.target)
-        return lambda trace: dfa.accepts(trace.events)
+        return lambda trace, index=None: dfa.accepts(trace.events)
     raise ValueError(f"unhandled backend {backend!r}")
 
 
@@ -92,9 +96,13 @@ def conformance_check(
     the number of worker threads.
     """
     checkers = [(c.id, make_checker(c, backend)) for c in model.constraints]
+    fns = [fn for _, fn in checkers]
+    indexed = backend is not Backend.DFA
 
-    def check_one(trace: Trace) -> tuple[bool, ...]:
-        return tuple(fn(trace) for _, fn in checkers)
+    def check_one(trace: Trace) -> list[bool]:
+        # One position index per row, shared by its constraints and dropped with it.
+        index = index_positions(trace.events) if indexed else None
+        return [fn(trace, index) for fn in fns]
 
     rows = _map_traces(check_one, log.traces, threads)
 

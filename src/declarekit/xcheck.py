@@ -13,13 +13,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .automata import Dfa, template_dfa
-from .core import Activity, Constraint, EventLog, TemplateKind, Trace
-from .direct import check_direct
+from .core import Activity, Constraint, EventLog, TemplateKind, Trace, index_positions
 from .ingest import write_factlog
-from .ltlf import Formula, eval_tree, template_formula
+from .tasks import Backend, make_checker
 
 ALL_KINDS: tuple[TemplateKind, ...] = tuple(TemplateKind)
 
@@ -42,7 +40,8 @@ class Disagreement:
         }
 
 
-_Kit = tuple[TemplateKind, Constraint, Formula, Dfa]
+# A template kind with its checkers in Backend order (direct, tree, dfa), compiled once.
+_Kit = tuple[TemplateKind, Callable[..., bool], Callable[..., bool], Callable[..., bool]]
 
 
 def _kits(kinds: Iterable[TemplateKind]) -> list[_Kit]:
@@ -50,18 +49,17 @@ def _kits(kinds: Iterable[TemplateKind]) -> list[_Kit]:
     kits: list[_Kit] = []
     for kind in kinds:
         constraint = Constraint(0, kind, act, tgt)
-        formula = template_formula(kind, act, tgt)
-        dfa = template_dfa(kind, act, tgt)
-        kits.append((kind, constraint, formula, dfa))
+        kits.append((kind, *(make_checker(constraint, b) for b in Backend)))
     return kits
 
 
 def _compare(events: tuple[Activity, ...], kits: Sequence[_Kit], out: list[Disagreement]) -> None:
     trace = Trace(0, events)
-    for kind, constraint, formula, dfa in kits:
-        d = check_direct(constraint, trace).sat
-        t = eval_tree(formula, trace)
-        f = dfa.accepts(events)
+    index = index_positions(events)
+    for kind, direct, tree, dfa in kits:
+        d = direct(trace, index)
+        t = tree(trace, index)
+        f = dfa(trace)
         if d is not t or t is not f:
             out.append(
                 Disagreement(

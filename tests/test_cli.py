@@ -70,14 +70,16 @@ def test_check_writes_report(workdir):
 
 
 def test_check_report_identical_across_threads(workdir):
-    for threads, name in (("1", "one.json"), ("3", "three.json")):
+    for threads, name in ((None, "default.json"), ("1", "one.json"), ("3", "three.json")):
+        flags = ("--threads", threads) if threads else ()
         out = run_cli(
             "check", "--log", "log.lp", "--model", "model.lp",
-            "--out", name, "--threads", threads,
+            "--out", name, *flags,
             cwd=workdir,
         )
         assert out.returncode == 0
     assert (workdir / "one.json").read_bytes() == (workdir / "three.json").read_bytes()
+    assert (workdir / "default.json").read_bytes() == (workdir / "one.json").read_bytes()
 
 
 def test_check_missing_file_exits_two(workdir):

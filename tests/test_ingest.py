@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +78,27 @@ def test_parse_factlog_reports_line_numbers():
     with pytest.raises(IngestError) as err:
         parse_factlog("trace(0,0,a).\ntrace(0,1,).")
     assert err.value.line == 2
+
+
+def test_parse_factlog_is_linear_in_facts():
+    """60k facts parse in about a second; a quadratic scan takes over 20 s.
+
+    Line numbers stay exact at the end of the document: a repeated
+    position on the last line and a syntax error after it.
+    """
+    n = 60_000
+    text = "\n".join(f"trace({i // 40},{i % 40},a{i % 7})." for i in range(n))
+    started = time.perf_counter()
+    log = parse_factlog(text)
+    elapsed = time.perf_counter() - started
+    assert sum(len(tr) for tr in log) == n
+    assert elapsed < 10.0, elapsed
+    with pytest.raises(IngestError) as err:
+        parse_factlog(text + "\ntrace(0,0,b).")
+    assert err.value.line == n + 1
+    with pytest.raises(IngestError) as err:
+        parse_factlog(text + "\n\ntrace(0,1,).")
+    assert err.value.line == n + 2
 
 
 def test_parse_factlog_quoted_labels():

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declarekit import (
     Activity,
@@ -20,9 +22,11 @@ from declarekit import (
     Variable,
     check_direct,
     conformance_check,
+    eval_tree,
     make_checker,
     query_check,
     support,
+    template_dfa,
     template_formula,
 )
 
@@ -109,6 +113,72 @@ def test_make_checker_matches_direct_verdicts():
         checker = make_checker(con, backend)
         for trace in traces:
             assert checker(trace) == check_direct(con, trace).sat, (backend, trace)
+
+
+# Consecutive traces over disjoint alphabets, either of which may be empty:
+# an index leaking from one row into the next would show in the second.
+_ROW_PAIRS = st.lists(
+    st.tuples(st.text(alphabet="abc", max_size=7), st.text(alphabet="xyz", max_size=7)),
+    min_size=1,
+    max_size=5,
+)
+# Activation and target range over both alphabets, so they are sometimes
+# equal and sometimes absent from a trace.
+_SPECS = st.lists(
+    st.tuples(st.sampled_from(list(TemplateKind)), st.sampled_from("abcxyz"),
+              st.sampled_from("abcxyz")),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pairs=_ROW_PAIRS, specs=_SPECS)
+def test_shared_row_index_matches_fresh_checkers(pairs, specs):
+    """Each matrix cell equals a fresh checker and, for a != b, the oracle.
+
+    Cells with activation equal to target are compared with the fresh
+    checker only: the direct backend's strict Response(a,a) reading is
+    pinned in test_direct.py.
+    """
+    log = _log(*(row for pair in pairs for row in pair))
+    model = DeclareModel(
+        Constraint(i, kind, Activity(a), Activity(b)) for i, (kind, a, b) in enumerate(specs)
+    )
+    for backend in Backend:
+        report = conformance_check(log, model, backend)
+        for con in model:
+            fresh = make_checker(con, backend)
+            formula = template_formula(con.kind, con.activation, con.target)
+            for trace in log:
+                got = report.matrix[(trace.id, con.id)]
+                assert got == fresh(trace), (backend, con, trace)
+                if con.activation is not con.target:
+                    assert got == naive_eval(formula, trace), (backend, con, trace)
+
+
+def test_replayed_kernel_entry_points_keep_working():
+    """The standalone per-call forms that timing harnesses replay cell by cell."""
+    trace = Trace.from_labels(0, "abwbaab")
+    for kind in TemplateKind:
+        con = Constraint(0, kind, A, B)
+        formula = template_formula(kind, A, B)
+        want = naive_eval(formula, trace)
+        verdict = check_direct(con, trace)
+        assert verdict.sat == want, kind
+        assert isinstance(verdict.steps, int) and verdict.steps >= 0
+        assert eval_tree(formula, trace) == want, kind
+        dfa = template_dfa(kind, A, B)
+        assert dfa.accepts(trace.events) == want, kind
+        assert dfa.n_states >= 1
+        for backend in Backend:
+            assert make_checker(con, backend)(trace) == want, (kind, backend)
+    before = template_dfa.cache_info()
+    cached = template_dfa(TemplateKind.RESPONSE, A, B)
+    assert template_dfa.cache_info().hits == before.hits + 1
+    uncached = template_dfa.__wrapped__(TemplateKind.RESPONSE, A, B)
+    assert uncached == cached and uncached is not cached
+    assert template_dfa.cache_info().misses == before.misses
 
 
 def test_support_is_exact_rational():
