@@ -11,7 +11,7 @@ explicit None values rather than sentinel integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import Constraint, PositionIndex, TemplateKind, Trace, index_positions
 from .ltlf import ev_empty, template_formula
@@ -215,6 +215,47 @@ _RULES = {
 }
 
 
+def _rules_for(kind: TemplateKind):
+    rules = _RULES.get(kind)
+    if rules is None:
+        raise ValueError(f"unhandled template kind {kind!r}")
+    return rules
+
+
+def direct_checker(constraint: Constraint) -> Callable[..., bool]:
+    """Resolve the constraint's rules once; `holds(trace, index=None)` is
+    `check_direct(constraint, trace, index=index).sat`.
+
+    The same rule functions run, but no verdict is built, and a kind with
+    two rules stops after the first one that records a failure. `index`
+    is the trace's `index_positions`, shared by callers that check many
+    constraints on one trace; without it, holds builds it.
+    """
+    kind = constraint.kind
+    act = constraint.activation
+    tgt = constraint.target
+    rules = _rules_for(kind)
+    empty = ev_empty(template_formula(kind, act, tgt))
+
+    def holds(trace: Trace, index: PositionIndex | None = None) -> bool:
+        events = trace.events
+        if not events:
+            return empty
+        if index is None:
+            index = index_positions(events)
+        act_pos = index.get(act, ())
+        tgt_pos = index.get(tgt, ())
+        failures: list[Failure] = []
+        witnesses: dict[int, int] = {}
+        for rule in rules:
+            rule(events, act, tgt, act_pos, tgt_pos, failures, witnesses)
+            if failures:
+                return False
+        return True
+
+    return holds
+
+
 def check_direct(
     constraint: Constraint,
     trace: Trace,
@@ -241,9 +282,7 @@ def check_direct(
         failures = () if sat else ((None, EMPTY_TRACE),)
         return DirectVerdict(sat=sat, failures=failures, witnesses={}, steps=0)
 
-    rules = _RULES.get(kind)
-    if rules is None:
-        raise ValueError(f"unhandled template kind {kind!r}")
+    rules = _rules_for(kind)
     if index is None:
         index = index_positions(events)
     act_pos = index.get(act, ())

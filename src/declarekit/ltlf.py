@@ -574,10 +574,22 @@ def _nnf(f: Formula, positive: bool) -> Formula:
 # --------------------------------------------------------------------------
 # Evaluation
 #
-# Per-node satisfaction over one trace is computed backward from the last
-# position. Each node's values across all positions are packed into one
-# integer bitmask (bit t = position t), so the table costs exactly
-# |nodes| x |trace| cells while staying cheap to fill.
+# A trace of n > 0 events is evaluated bottom-up, one step per distinct
+# subformula. A step's values at all n positions are packed into one
+# integer with position t at bit n-1-t: position 0 is the top bit and the
+# last position is bit 0, so a later position is a lower bit. Every
+# operator is then a few big-int operations with no loop over positions
+# (lowbit(c) = c & -c, the lowest set bit, or 0 when c is 0):
+#
+#   X p = (p << 1) & full          Xw p = X p | 1
+#   F p = full & ~(lowbit(p) - 1)  G p = (lowbit(full & ~p) - 1) & full
+#   l U r = ((a + r) ^ a ^ r) >> 1 l W r = ((a + r + 1) ^ a ^ r) >> 1
+#   l R r = full & ~(!l U !r)      where a = l | r
+#
+# U at bit b is r_b | (l_b & U at bit b-1), which is the carry rule of
+# a + r: r generates a carry, l alone propagates one and neither kills it.
+# So U is the carry vector (a + r) ^ a ^ r, shifted down to the bit that
+# received it. W also holds past the last position: a carry-in of 1.
 
 _OP_TRUE = 0
 _OP_FALSE = 1
@@ -613,48 +625,59 @@ _STEP_OPS: dict[type, int] = {
     Globally: _OP_GLOBALLY,
 }
 
+# Up to this length an atom's mask is built bit by bit, the fastest way on
+# small integers but O(n) per set bit; longer traces fill a digit string
+# in one linear pass (int() in base 2 has no digit limit).
+_SHORT_TRACE = 64
+
 
 @lru_cache(maxsize=4096)
 def _plan(f: Formula) -> tuple[tuple[tuple[int, tuple[int, ...], Activity | None], ...], tuple[int, ...]]:
-    """Compile a formula to postorder evaluation steps.
+    """Compile a formula to postorder evaluation steps, one per distinct node.
 
-    Returns (steps, preorder_ids): step k is (opcode, child slots, atom),
-    and preorder_ids[k] is the preorder id of the node in slot k.
+    Returns (steps, slots): step k is (opcode, child slots, atom), and
+    slots[i] is the step computing the node with preorder id i. Equal
+    subformulas share a step; the root's step comes last.
     """
     steps: list[tuple[int, tuple[int, ...], Activity | None]] = []
-    pre_ids: list[int] = []
-    counter = 0
+    step_of: dict[Formula, int] = {}
+    slots: list[int] = []
 
     def walk(node: Formula) -> int:
-        nonlocal counter
-        my_pre = counter
-        counter += 1
-        child_slots = tuple(walk(c) for c in node.children())
-        atom = node.activity if isinstance(node, Atom) else None
-        steps.append((_STEP_OPS[type(node)], child_slots, atom))
-        pre_ids.append(my_pre)
-        return len(steps) - 1
+        pre = len(slots)
+        slots.append(-1)
+        kids = tuple(walk(c) for c in node.children())
+        slot = step_of.get(node)
+        if slot is None:
+            slot = step_of[node] = len(steps)
+            atom = node.activity if isinstance(node, Atom) else None
+            steps.append((_STEP_OPS[type(node)], kids, atom))
+        slots[pre] = slot
+        return slot
 
     walk(f)
-    return tuple(steps), tuple(pre_ids)
+    return tuple(steps), tuple(slots)
 
 
 def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
-    """Per-slot masks over a trace of n > 0 events with position index `index`."""
+    """Per-step masks over a trace of n > 0 events with position index `index`."""
     full = (1 << n) - 1
-    last_bit = 1 << (n - 1)
+    top = n - 1
     masks: list[int] = []
+    # Opcodes are tested roughly in order of how often templates use them.
     for op, kids, atom in steps:
         if op == _OP_ATOM:
-            m = 0
-            for t in index.get(atom, ()):
-                m |= 1 << t
-        elif op == _OP_TRUE:
-            m = full
-        elif op == _OP_FALSE:
-            m = 0
+            if n <= _SHORT_TRACE:
+                m = 0
+                for t in index.get(atom, ()):
+                    m |= 1 << (top - t)
+            else:
+                digits = bytearray(b"0") * n
+                for t in index.get(atom, ()):
+                    digits[t] = 49  # ord("1")
+                m = int(digits, 2)
         elif op == _OP_NOT:
-            m = full & ~masks[kids[0]]
+            m = full ^ masks[kids[0]]
         elif op == _OP_AND:
             m = full
             for k in kids:
@@ -664,40 +687,35 @@ def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
             for k in kids:
                 m |= masks[k]
         elif op == _OP_IMPLIES:
-            m = (full & ~masks[kids[0]]) | masks[kids[1]]
+            m = (full ^ masks[kids[0]]) | masks[kids[1]]
         elif op == _OP_IFF:
-            m = full & ~(masks[kids[0]] ^ masks[kids[1]])
+            m = full ^ masks[kids[0]] ^ masks[kids[1]]
         elif op == _OP_NEXT:
-            m = masks[kids[0]] >> 1
+            m = (masks[kids[0]] << 1) & full
         elif op == _OP_WEAK_NEXT:
-            m = (masks[kids[0]] >> 1) | last_bit
+            m = ((masks[kids[0]] << 1) & full) | 1
         elif op == _OP_EVENTUALLY:
             c = masks[kids[0]]
-            m = (1 << c.bit_length()) - 1 if c else 0
+            m = full & ~((c & -c) - 1)
         elif op == _OP_GLOBALLY:
-            c = full & ~masks[kids[0]]
-            m = full & ~((1 << c.bit_length()) - 1) if c else full
+            c = full ^ masks[kids[0]]
+            m = ((c & -c) - 1) & full
         elif op == _OP_UNTIL:
-            left, right = masks[kids[0]], masks[kids[1]]
-            m = 0
-            for t in range(n - 1, -1, -1):
-                bit = 1 << t
-                if right & bit or (left & bit and m >> (t + 1) & 1):
-                    m |= bit
-        elif op == _OP_RELEASE:
-            left, right = masks[kids[0]], masks[kids[1]]
-            m = 0
-            for t in range(n - 1, -1, -1):
-                bit = 1 << t
-                if right & bit and (left & bit or t == n - 1 or m >> (t + 1) & 1):
-                    m |= bit
+            r = masks[kids[1]]
+            a = masks[kids[0]] | r
+            m = ((a + r) ^ a ^ r) >> 1
         elif op == _OP_WEAK_UNTIL:
-            left, right = masks[kids[0]], masks[kids[1]]
+            r = masks[kids[1]]
+            a = masks[kids[0]] | r
+            m = ((a + r + 1) ^ a ^ r) >> 1
+        elif op == _OP_RELEASE:
+            r = full ^ masks[kids[1]]
+            a = (full ^ masks[kids[0]]) | r
+            m = full ^ (((a + r) ^ a ^ r) >> 1)
+        elif op == _OP_TRUE:
+            m = full
+        elif op == _OP_FALSE:
             m = 0
-            for t in range(n - 1, -1, -1):
-                bit = 1 << t
-                if right & bit or (left & bit and (t == n - 1 or m >> (t + 1) & 1)):
-                    m |= bit
         else:
             raise AssertionError(f"unknown opcode {op}")
         masks.append(m)
@@ -719,7 +737,8 @@ def tree_checker(f: Formula) -> Callable[..., bool]:
             return empty
         if index is None:
             index = index_positions(events)
-        return bool(_eval_masks(steps, len(events), index)[-1] & 1)
+        n = len(events)
+        return bool(_eval_masks(steps, n, index)[-1] >> (n - 1))
 
     return holds
 
@@ -729,8 +748,9 @@ def eval_tree(f: Formula, trace: Trace) -> bool:
     events = trace.events
     if not events:
         return ev_empty(f)
+    n = len(events)
     steps, _ = _plan(f)
-    return bool(_eval_masks(steps, len(events), index_positions(events))[-1] & 1)
+    return bool(_eval_masks(steps, n, index_positions(events))[-1] >> (n - 1))
 
 
 def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
@@ -742,14 +762,16 @@ def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
     events = trace.events
     if not events:
         return {}
-    steps, pre_ids = _plan(f)
-    masks = _eval_masks(steps, len(events), index_positions(events))
-    table: dict[tuple[int, int], bool] = {}
-    for slot, node_id in enumerate(pre_ids):
-        m = masks[slot]
-        for t in range(len(events)):
-            table[(node_id, t)] = bool(m >> t & 1)
-    return table
+    n = len(events)
+    steps, slots = _plan(f)
+    masks = _eval_masks(steps, n, index_positions(events))
+    # Digit t of the n-digit binary string is bit n-1-t, that is position t.
+    digits = [format(m, f"0{n}b") for m in masks]
+    return {
+        (node_id, t): digits[slot][t] == "1"
+        for node_id, slot in enumerate(slots)
+        for t in range(n)
+    }
 
 
 def atoms(f: Formula) -> tuple[Activity, ...]:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .automata import template_dfa
 from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, Trace, index_positions
-from .direct import check_direct
+from .direct import direct_checker
 from .ltlf import template_formula, tree_checker
 
 
@@ -49,7 +49,7 @@ def make_checker(constraint: Constraint, backend: Backend) -> Callable[..., bool
     `index_positions` when there is one; dfa ignores it, the others build it.
     """
     if backend is Backend.DIRECT:
-        return lambda trace, index=None: check_direct(constraint, trace, index=index).sat
+        return direct_checker(constraint)
     if backend is Backend.TREE:
         formula = template_formula(constraint.kind, constraint.activation, constraint.target)
         return tree_checker(formula)
@@ -236,6 +236,11 @@ def query_check(
     n = len(log)
     max_violations = math.floor((1 - s) * n)
     answers: list[QueryAnswer] = []
+    # One position index per trace, shared by every term of every binding.
+    if backend is Backend.DFA:
+        rows = [(trace, None) for trace in log.traces]
+    else:
+        rows = [(trace, index_positions(trace.events)) for trace in log.traces]
 
     for combo in itertools.product(*domains):
         binding = dict(zip(variables, combo))
@@ -251,8 +256,8 @@ def query_check(
             for i, term in enumerate(query.terms)
         ]
         violations = 0
-        for trace in log.traces:
-            if not all(fn(trace) for fn in checkers):
+        for trace, index in rows:
+            if not all(fn(trace, index) for fn in checkers):
                 violations += 1
                 if early_abort and violations > max_violations:
                     break

@@ -13,6 +13,7 @@ from declarekit import (
     eval_tree,
     template_formula,
 )
+from declarekit.core import index_positions
 from declarekit.direct import (
     ACTIVATION_NOT_FOLLOWED_BY_TARGET,
     ACTIVATION_WITHOUT_ALTERNATING_TARGET,
@@ -24,6 +25,7 @@ from declarekit.direct import (
     TARGET_AT_START,
     TARGET_BEFORE_ACTIVATION,
     TRACE_ENDS_WITH_TARGET,
+    direct_checker,
 )
 
 from oracles import all_traces
@@ -121,6 +123,26 @@ def test_agrees_with_formula_on_exhaustive_grid():
         f = template_formula(kind, A, B)
         for trace in all_traces(("a", "b", "w"), 7):
             assert check_direct(con, trace).sat == eval_tree(f, trace), (kind, trace)
+
+
+def test_direct_checker_equals_check_direct_verdict():
+    """The compiled checker gives check_direct's .sat on every trace up to length 7.
+
+    Both slot bindings are covered, so the strict Response(a,a) reading
+    holds for the checker too, with and without a shared index, and the
+    empty trace is the first trace checked.
+    """
+    traces = [(tr, index_positions(tr.events)) for tr in all_traces(("a", "b", "w"), 7)]
+    assert not traces[0][0].events
+    for kind in TemplateKind:
+        for tgt in (B, A):
+            con = _con(kind, A, tgt)
+            holds = direct_checker(con)
+            for trace, index in traces:
+                want = check_direct(con, trace).sat
+                assert holds(trace) == want, (kind, tgt, trace)
+                assert holds(trace, index) == want, (kind, tgt, trace)
+    assert not direct_checker(_con(TemplateKind.RESPONSE, A, A))(Trace.from_labels(0, "a"))
 
 
 def test_reflexive_response_uses_strict_future():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 
 from declarekit import (
     Activity,
+    Backend,
+    Constraint,
     FormulaSyntaxError,
     TemplateKind,
     Trace,
     ev_empty,
     eval_table,
     eval_tree,
+    make_checker,
     nnf,
     parse_formula,
     pretty,
@@ -34,7 +38,7 @@ from declarekit.ltlf import (
     subformulas,
 )
 
-from oracles import all_traces, naive_eval
+from oracles import _sat, all_traces, naive_eval
 
 A, B, C = Activity("a"), Activity("b"), Activity("c")
 
@@ -263,6 +267,91 @@ def test_eval_table_matches_naive_at_every_position():
     for idx, g in enumerate(core):
         for pos in range(len(trace)):
             assert table[(idx, pos)] == _sat(g, trace.events, pos), (idx, pos)
+
+
+# Lengths at and around the 30-bit digit and 64-bit word boundaries, where a
+# carry or bit-order slip in the mask arithmetic would first show.
+_LONG_LENGTHS = (1, 2, 29, 30, 31, 59, 60, 61, 62, 63, 64, 65, 127, 128, 129, 200)
+
+_LONG_FORMULAS = [
+    "a U b", "a W b", "a R b", "X a", "Xw a", "F a", "G a",
+    "G(a -> X(!a U b))", "(!b W a) & G(b -> Xw(!b W a))",
+    "(a U (b R c)) W X c", "F G(a | c)", "!(a U X b) <-> (c R Xw a)",
+]
+
+
+def _long_traces(n, rng):
+    """Uniform, a-heavy (long U/W chains) and two fixed shapes of length n."""
+    yield "".join(rng.choice("abc") for _ in range(n))
+    yield "".join(rng.choices("abc", weights=(20, 1, 1), k=n))
+    yield "a" * (n - 1) + "b"
+    yield "b" + "a" * (n - 1)
+
+
+def _memoize_sat(monkeypatch):
+    """Cache oracles._sat per (node, position) for one trace.
+
+    _sat recurses through its module global, so patching the global also
+    caches the nested calls: nested U then costs O(n^2), not O(n^3), on
+    the long traces, and the semantics stay those written in the oracle.
+    """
+    import oracles
+
+    memo = {}
+
+    def sat(f, events, i):
+        key = (id(f), i)  # the nodes outlive the memo: the caller holds them
+        if key not in memo:
+            memo[key] = _sat(f, events, i)
+        return memo[key]
+
+    monkeypatch.setattr(oracles, "_sat", sat)
+    return sat
+
+
+def test_eval_table_matches_naive_on_long_traces(monkeypatch):
+    """Every node at every position, on traces up to 200 events, against the oracle."""
+    from oracles import desugar
+
+    rng = random.Random(20261018)
+    formulas = [parse_formula(text) for text in _LONG_FORMULAS]
+    cores = [[desugar(g) for g in subformulas(f)] for f in formulas]
+    cells = 0
+    for n in _LONG_LENGTHS:
+        for labels in _long_traces(n, rng):
+            trace = Trace.from_labels(0, labels)
+            sat = _memoize_sat(monkeypatch)
+            for f, core in zip(formulas, cores):
+                table = eval_table(f, trace)
+                assert len(table) == len(core) * n
+                for node_id, g in enumerate(core):
+                    for pos in range(n):
+                        assert table[(node_id, pos)] == sat(g, trace.events, pos), (
+                            pretty(f), labels, node_id, pos,
+                        )
+                cells += len(table)
+                assert eval_tree(f, trace) == table[(0, 0)]
+    assert cells > 100_000
+
+
+def test_tree_alternate_succession_is_linear_in_trace_length():
+    """400k events check in well under a second (about 18 s when U and W
+    loop over positions, on a 2-core Xeon VM).
+
+    Until, WeakUntil and Release are carry chains over whole-trace masks,
+    so the tree backend is linear in trace length.
+    """
+    n = 400_000
+    checker = make_checker(
+        Constraint(0, TemplateKind.ALTERNATE_SUCCESSION, A, B), Backend.TREE
+    )
+    good = Trace.from_labels(0, "ab" * (n // 2))
+    bad = Trace.from_labels(1, "ab" * (n // 2 - 1) + "ba")
+    started = time.perf_counter()
+    verdicts = (checker(good), checker(bad))
+    elapsed = time.perf_counter() - started
+    assert verdicts == (True, False)
+    assert elapsed < 2.0, elapsed
 
 
 # --------------------------------------------------------------------------

@@ -276,6 +276,63 @@ def test_query_conjunction_of_terms():
     assert answers == _brute_answers(query, log, Fraction(1))
 
 
+def test_query_two_terms_match_formula_oracle(monkeypatch):
+    """Answers and their order equal the formula oracle's, on every backend.
+
+    Disjoint domains keep activation and target apart in both terms, where
+    the backends agree. Each trace is indexed once for the whole query,
+    not once per binding and term, and dfa needs no index.
+    """
+    import random
+
+    import declarekit.direct
+    import declarekit.ltlf
+    import declarekit.tasks
+    from declarekit.core import index_positions
+    from declarekit.ltlf import And
+
+    from oracles import brute_support
+
+    rng = random.Random(4)
+    log = _log(*("".join(rng.choices("abcd", k=rng.randrange(8))) for _ in range(30)))
+    x, y = Variable("x"), Variable("y")
+    query = Query(
+        terms=(
+            QueryTerm(TemplateKind.RESPONSE, x, y),
+            QueryTerm(TemplateKind.COEXISTENCE, y, B),
+        ),
+        domains={x: (A, B), y: (C, D)},
+    )
+    threshold = Fraction(1, 4)
+    want = []
+    for combo in itertools.product((A, B), (C, D)):
+        binding = dict(zip((x, y), combo))
+        f = And(tuple(
+            template_formula(t.kind, binding.get(t.activation, t.activation),
+                             binding.get(t.target, t.target))
+            for t in query.terms
+        ))
+        sup = brute_support(f, log.traces)
+        if sup >= threshold:
+            want.append((binding, sup))
+    want.sort(key=lambda row: (-row[1], row[0][x].label, row[0][y].label))
+    assert len({sup for _, sup in want}) > 1
+
+    calls = []
+
+    def counting_index(events):
+        calls.append(len(events))
+        return index_positions(events)
+
+    for module in (declarekit.tasks, declarekit.direct, declarekit.ltlf):
+        monkeypatch.setattr(module, "index_positions", counting_index)
+    for backend in Backend:
+        calls.clear()
+        got = query_check(query, log, threshold, backend)
+        assert [(a.binding, a.support) for a in got] == want, backend
+        assert len(calls) == (0 if backend is Backend.DFA else len(log)), backend
+
+
 def test_query_respects_explicit_domains():
     log = _log("abab", "abac")
     y = Variable("y")
