@@ -625,12 +625,6 @@ _STEP_OPS: dict[type, int] = {
     Globally: _OP_GLOBALLY,
 }
 
-# Up to this length an atom's mask is built bit by bit, the fastest way on
-# small integers but O(n) per set bit; longer traces fill a digit string
-# in one linear pass (int() in base 2 has no digit limit).
-_SHORT_TRACE = 64
-
-
 @lru_cache(maxsize=4096)
 def _plan(f: Formula) -> tuple[tuple[tuple[int, tuple[int, ...], Activity | None], ...], tuple[int, ...]]:
     """Compile a formula to postorder evaluation steps, one per distinct node.
@@ -662,20 +656,17 @@ def _plan(f: Formula) -> tuple[tuple[tuple[int, tuple[int, ...], Activity | None
 def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
     """Per-step masks over a trace of n > 0 events with position index `index`."""
     full = (1 << n) - 1
-    top = n - 1
     masks: list[int] = []
     # Opcodes are tested roughly in order of how often templates use them.
     for op, kids, atom in steps:
         if op == _OP_ATOM:
-            if n <= _SHORT_TRACE:
-                m = 0
-                for t in index.get(atom, ()):
-                    m |= 1 << (top - t)
-            else:
-                digits = bytearray(b"0") * n
-                for t in index.get(atom, ()):
-                    digits[t] = 49  # ord("1")
-                m = int(digits, 2)
+            # Position t is digit t of an n-digit binary string: one linear
+            # pass (int() in base 2 has no digit limit), where setting bits
+            # one by one would copy the mask once per occurrence.
+            digits = bytearray(b"0") * n
+            for t in index.get(atom, ()):
+                digits[t] = 49  # ord("1")
+            m = int(digits, 2)
         elif op == _OP_NOT:
             m = full ^ masks[kids[0]]
         elif op == _OP_AND:

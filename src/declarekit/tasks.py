@@ -237,6 +237,9 @@ def query_check(
     max_violations = math.floor((1 - s) * n)
     answers: list[QueryAnswer] = []
     # One position index per trace, shared by every term of every binding.
+    # They live for the whole query: about 64 bytes per event, less than
+    # loading the log peaked at, where indexing per binding would repeat
+    # the work once per binding.
     if backend is Backend.DFA:
         rows = [(trace, None) for trace in log.traces]
     else:
