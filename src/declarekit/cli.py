@@ -88,7 +88,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--backend", type=_backend, default=Backend.DIRECT)
     p.add_argument("--out", help="write a report file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("query", help="enumerate bindings meeting a support threshold")
     p.add_argument("--log", required=True)
@@ -147,10 +146,8 @@ def _emit(path: str, text: str) -> None:
 def _cmd_check(args) -> int:
     log = load_log(args.log)
     model = load_model(args.model)
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     started = time.perf_counter()
-    report = conformance_check(log, model, args.backend, threads=args.threads)
+    report = conformance_check(log, model, args.backend)
     elapsed = time.perf_counter() - started
     if args.out:
         data = write_report(report, args.format, log_name=args.log, model_name=args.model)

@@ -17,6 +17,9 @@ class Activity:
     and hashing are identity based and cheap; ordering compares labels.
     The wildcard label ``*`` is reserved for automaton transition tables
     and never names an activity.
+
+    The intern pool is process-global and only grows: every label ever
+    read stays alive until the process exits.
     """
 
     __slots__ = ("_label", "_index")

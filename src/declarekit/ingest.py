@@ -58,6 +58,8 @@ class _FactScanner:
         self.text = text
         self.pos = 0
         self._mark = self._newlines = 0  # newlines before offset _mark
+        # Lines end in "\n" or "\r\n", or in "\r" in a file that has no "\n".
+        self._eol = "\r" if "\r" in text and "\n" not in text else "\n"
 
     def line(self, pos: int | None = None) -> int:
         """Line of `pos` (default: the cursor). Offsets come in ascending
@@ -65,7 +67,7 @@ class _FactScanner:
         pos = self.pos if pos is None else pos
         if pos < self._mark:
             self._mark = self._newlines = 0
-        self._newlines += self.text.count("\n", self._mark, pos)
+        self._newlines += self.text.count(self._eol, self._mark, pos)
         self._mark = pos
         return self._newlines + 1
 
@@ -215,13 +217,21 @@ def write_factlog(log: EventLog) -> str:
 # --------------------------------------------------------------------------
 # Declare models as constraint/2 + bind/3 facts
 
-def parse_model(text: str) -> DeclareModel:
-    """Parse constraint(Id,"Kind") and bind(Id,arg_0/arg_1,Activity) facts."""
-    kinds: dict[int, TemplateKind] = {}
-    binds: dict[int, dict[str, Activity]] = {}
-    order: list[int] = []
-    lines: dict[int, int] = {}
-    for fact in _FactScanner(text).facts():
+class _ConstraintFacts:
+    """constraint/2 and slot-filling facts, shared by models and queries.
+
+    A constraint id is declared once, each of its slots is filled once,
+    and a fill for an id that is never declared is an error.
+    """
+
+    def __init__(self) -> None:
+        self.kinds: dict[int, TemplateKind] = {}  # declaration order
+        self.lines: dict[int, int] = {}
+        self.slots: dict[int, dict[str, object]] = {}
+        self.fill_lines: dict[int, int] = {}  # first fill of each id
+
+    def read(self, fact: _Fact) -> bool:
+        """Take a constraint/2 or bind/3 fact; False for any other fact."""
         if fact.name == "constraint" and len(fact.args) == 2:
             cid = _as_int(fact.args[0], fact.line)
             arg = fact.args[1]
@@ -231,37 +241,53 @@ def parse_model(text: str) -> DeclareModel:
                 kind = TemplateKind.from_name(arg[1])
             except ValueError as exc:
                 raise IngestError(str(exc), fact.line) from None
-            if cid in kinds:
+            if cid in self.kinds:
                 raise IngestError(f"constraint {cid} declared twice", fact.line)
-            kinds[cid] = kind
-            order.append(cid)
-            lines[cid] = fact.line
-        elif fact.name == "bind" and len(fact.args) == 3:
-            cid = _as_int(fact.args[0], fact.line)
-            slot = fact.args[1]
-            if not (isinstance(slot, tuple) and slot[0] == "ident" and slot[1] in ("arg_0", "arg_1")):
-                raise IngestError("bind slot must be arg_0 or arg_1", fact.line)
-            act = _as_activity(fact.args[2], fact.line)
-            per = binds.setdefault(cid, {})
-            if slot[1] in per:
-                raise IngestError(f"constraint {cid} binds {slot[1]} twice", fact.line)
-            per[slot[1]] = act
-        else:
+            self.kinds[cid] = kind
+            self.lines[cid] = fact.line
+            return True
+        if fact.name == "bind" and len(fact.args) == 3:
+            self.fill(fact, _as_activity(fact.args[2], fact.line))
+            return True
+        return False
+
+    def fill(self, fact: _Fact, value) -> None:
+        """Fill slot args[1] of constraint args[0] with `value`."""
+        cid = _as_int(fact.args[0], fact.line)
+        slot = fact.args[1]
+        if not (isinstance(slot, tuple) and slot[0] == "ident" and slot[1] in ("arg_0", "arg_1")):
+            raise IngestError("bind slot must be arg_0 or arg_1", fact.line)
+        per = self.slots.setdefault(cid, {})
+        if slot[1] in per:
+            raise IngestError(f"constraint {cid} binds {slot[1]} twice", fact.line)
+        per[slot[1]] = value
+        self.fill_lines.setdefault(cid, fact.line)
+
+    def complete(self) -> list[tuple[int, TemplateKind, object, object]]:
+        """(id, kind, arg_0, arg_1) per constraint, in declaration order."""
+        out = []
+        for cid, kind in self.kinds.items():
+            per = self.slots.get(cid, {})
+            for slot in ("arg_0", "arg_1"):
+                if slot not in per:
+                    raise IngestError(f"constraint {cid} is missing a bind for {slot}", self.lines[cid])
+            out.append((cid, kind, per["arg_0"], per["arg_1"]))
+        for cid, line in self.fill_lines.items():
+            if cid not in self.kinds:
+                raise IngestError(f"bind facts for undeclared constraint {cid}", line)
+        return out
+
+
+def parse_model(text: str) -> DeclareModel:
+    """Parse constraint(Id,"Kind") and bind(Id,arg_0/arg_1,Activity) facts."""
+    facts = _ConstraintFacts()
+    for fact in _FactScanner(text).facts():
+        if not facts.read(fact):
             raise IngestError(
                 f"expected constraint/2 or bind/3 facts, found {fact.name}/{len(fact.args)}",
                 fact.line,
             )
-    constraints = []
-    for cid in order:
-        per = binds.get(cid, {})
-        for slot in ("arg_0", "arg_1"):
-            if slot not in per:
-                raise IngestError(f"constraint {cid} is missing a bind for {slot}", lines[cid])
-        constraints.append(Constraint(cid, kinds[cid], per["arg_0"], per["arg_1"]))
-    for cid in binds:
-        if cid not in kinds:
-            raise IngestError(f"bind facts for undeclared constraint {cid}")
-    return DeclareModel(constraints)
+    return DeclareModel([Constraint(*row) for row in facts.complete()])
 
 
 def write_model(model: DeclareModel) -> str:
@@ -276,6 +302,14 @@ def write_model(model: DeclareModel) -> str:
 # --------------------------------------------------------------------------
 # Queries: bind/3 for fixed slots, var_bind/3 for variables, domain/2 limits
 
+def _as_variable(arg, line: int) -> Variable:
+    if isinstance(arg, tuple) and arg[0] == "call" and arg[1] == "var":
+        inner = arg[2]
+        if isinstance(inner, tuple) and inner[0] in ("ident", "quoted"):
+            return Variable(inner[1])
+    raise IngestError("expected var(Name)", line)
+
+
 def parse_query(text: str) -> Query:
     """Parse a query document.
 
@@ -283,69 +317,25 @@ def parse_query(text: str) -> Query:
         constraint(0,"Response"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).
         domain(var(y),b). domain(var(y),d).
     """
-    kinds: dict[int, TemplateKind] = {}
-    slots: dict[int, dict[str, Activity | Variable]] = {}
+    facts = _ConstraintFacts()
     domains: dict[Variable, list[Activity]] = {}
-    order: list[int] = []
-    lines: dict[int, int] = {}
-
-    def slot_name(arg, line):
-        if isinstance(arg, tuple) and arg[0] == "ident" and arg[1] in ("arg_0", "arg_1"):
-            return arg[1]
-        raise IngestError("bind slot must be arg_0 or arg_1", line)
-
-    def variable(arg, line):
-        if isinstance(arg, tuple) and arg[0] == "call" and arg[1] == "var":
-            inner = arg[2]
-            if isinstance(inner, tuple) and inner[0] in ("ident", "quoted"):
-                return Variable(inner[1])
-        raise IngestError("expected var(Name)", line)
-
     for fact in _FactScanner(text).facts():
-        if fact.name == "constraint" and len(fact.args) == 2:
-            cid = _as_int(fact.args[0], fact.line)
-            arg = fact.args[1]
-            if not (isinstance(arg, tuple) and arg[0] == "quoted"):
-                raise IngestError("template name must be quoted", fact.line)
-            try:
-                kinds[cid] = TemplateKind.from_name(arg[1])
-            except ValueError as exc:
-                raise IngestError(str(exc), fact.line) from None
-            order.append(cid)
-            lines[cid] = fact.line
-        elif fact.name == "bind" and len(fact.args) == 3:
-            cid = _as_int(fact.args[0], fact.line)
-            name = slot_name(fact.args[1], fact.line)
-            per = slots.setdefault(cid, {})
-            if name in per:
-                raise IngestError(f"constraint {cid} fills {name} twice", fact.line)
-            per[name] = _as_activity(fact.args[2], fact.line)
-        elif fact.name == "var_bind" and len(fact.args) == 3:
-            cid = _as_int(fact.args[0], fact.line)
-            name = slot_name(fact.args[1], fact.line)
-            per = slots.setdefault(cid, {})
-            if name in per:
-                raise IngestError(f"constraint {cid} fills {name} twice", fact.line)
-            per[name] = variable(fact.args[2], fact.line)
+        if facts.read(fact):
+            continue
+        if fact.name == "var_bind" and len(fact.args) == 3:
+            facts.fill(fact, _as_variable(fact.args[2], fact.line))
         elif fact.name == "domain" and len(fact.args) == 2:
-            var = variable(fact.args[0], fact.line)
+            var = _as_variable(fact.args[0], fact.line)
             domains.setdefault(var, []).append(_as_activity(fact.args[1], fact.line))
         else:
             raise IngestError(
                 "expected constraint/2, bind/3, var_bind/3 or domain/2 facts",
                 fact.line,
             )
-
-    terms = []
-    for cid in order:
-        per = slots.get(cid, {})
-        for name in ("arg_0", "arg_1"):
-            if name not in per:
-                raise IngestError(f"constraint {cid} leaves {name} unfilled", lines[cid])
-        terms.append(QueryTerm(kinds[cid], per["arg_0"], per["arg_1"]))
+    terms = tuple(QueryTerm(kind, arg_0, arg_1) for _, kind, arg_0, arg_1 in facts.complete())
     if not terms:
         raise IngestError("query declares no constraints")
-    return Query(terms=tuple(terms), domains={v: tuple(acts) for v, acts in domains.items()})
+    return Query(terms=terms, domains={v: tuple(acts) for v, acts in domains.items()})
 
 
 # --------------------------------------------------------------------------
@@ -404,8 +394,10 @@ def parse_xes(source) -> EventLog:
 
 def write_xes(log: EventLog) -> str:
     def esc(s: str) -> str:
+        # Raw whitespace in an attribute value would be read back as a space.
         return (
             s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+            .replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
         )
 
     out = [
@@ -427,7 +419,17 @@ def write_xes(log: EventLog) -> str:
 # --------------------------------------------------------------------------
 # CSV
 
-def parse_csv(source, has_position_column: bool | None = None) -> EventLog:
+def _csv_rows(text: str) -> list[list[str]]:
+    # Its own function, so the reader's StringIO (a copy of the whole text)
+    # is freed before parse_csv builds the traces.
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise IngestError(f"malformed CSV: {exc}", reader.line_num) from None
+
+
+def parse_csv(source) -> EventLog:
     """Parse case_id/activity[/position] rows.
 
     Rows are grouped by case id; numeric ids are kept, otherwise ids
@@ -436,20 +438,18 @@ def parse_csv(source, has_position_column: bool | None = None) -> EventLog:
     not repeat within a case.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source) and Path(source).exists():
-        text = Path(source).read_text(encoding="utf-8")
+        text = _read_text(source)
     elif hasattr(source, "read"):
         text = source.read()
     else:
         text = source
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = _csv_rows(text)
     if not rows:
         raise IngestError("empty CSV document")
     header = rows[0]
     if header[:2] != ["case_id", "activity"]:
         raise IngestError("CSV header must start with case_id,activity", 1)
     with_pos = len(header) >= 3 and header[2] == "position"
-    if has_position_column is not None and has_position_column != with_pos:
-        raise IngestError("CSV header does not match the expected position column", 1)
 
     cases: dict[str, list[tuple[int | None, Activity]]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
@@ -497,12 +497,14 @@ def parse_csv(source, has_position_column: bool | None = None) -> EventLog:
 def write_csv(log: EventLog) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # The writer quotes "\n" but not a lone "\r", which readers take for a line end.
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(["case_id", "activity", "position"])
     for trace in log.traces:
         if not trace.events:
             raise IngestError(f"trace {trace.id} has no events; row form cannot hold it")
         for pos, act in enumerate(trace.events):
-            writer.writerow([trace.id, act.label, pos])
+            (quote_all if "\r" in act.label else writer).writerow([trace.id, act.label, pos])
     return buf.getvalue()
 
 
@@ -557,6 +559,14 @@ def write_report(
 # --------------------------------------------------------------------------
 # Path-based loading
 
+# Files are read and written with newline="" so that "\r" and "\r\n"
+# inside quoted labels come back as they were written.
+
+def _read_text(path) -> str:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 def load_log(path) -> EventLog:
     """Read a log by extension: .xes, .xes.gz, .lp (facts), or .csv."""
     p = Path(path)
@@ -564,9 +574,9 @@ def load_log(path) -> EventLog:
     if name.endswith(".xes") or name.endswith(".xes.gz"):
         return parse_xes(p)
     if name.endswith(".lp"):
-        return parse_factlog(p.read_text(encoding="utf-8"))
+        return parse_factlog(_read_text(p))
     if name.endswith(".csv"):
-        return parse_csv(p.read_text(encoding="utf-8"))
+        return parse_csv(_read_text(p))
     raise IngestError(
         f"cannot infer log format from suffix of {name!r}; "
         "expected .lp, .csv, .xes, or .xes.gz"
@@ -577,17 +587,17 @@ def save_log(log: EventLog, path) -> None:
     p = Path(path)
     name = p.name
     if name.endswith(".xes.gz"):
-        with gzip.open(p, "wt", encoding="utf-8") as fh:
+        with gzip.open(p, "wt", encoding="utf-8", newline="") as fh:
             fh.write(write_xes(log))
         return
     if name.endswith(".xes"):
-        p.write_text(write_xes(log), encoding="utf-8")
+        p.write_text(write_xes(log), encoding="utf-8", newline="")
         return
     if name.endswith(".lp"):
-        p.write_text(write_factlog(log), encoding="utf-8")
+        p.write_text(write_factlog(log), encoding="utf-8", newline="")
         return
     if name.endswith(".csv"):
-        p.write_text(write_csv(log), encoding="utf-8")
+        p.write_text(write_csv(log), encoding="utf-8", newline="")
         return
     raise IngestError(
         f"cannot infer log format from suffix of {name!r}; "
@@ -596,8 +606,8 @@ def save_log(log: EventLog, path) -> None:
 
 
 def load_model(path) -> DeclareModel:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(_read_text(path))
 
 
 def load_query(path) -> Query:
-    return parse_query(Path(path).read_text(encoding="utf-8"))
+    return parse_query(_read_text(path))

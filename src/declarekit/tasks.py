@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .automata import template_dfa
-from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, Trace, index_positions
+from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, index_positions
 from .direct import direct_checker
 from .ltlf import template_formula, tree_checker
 
@@ -76,45 +75,30 @@ class CheckReport:
     supports: Mapping[int, Fraction]
 
 
-def _map_traces(fn, traces: Sequence[Trace], threads: int | None):
-    if threads is not None and threads > 1 and len(traces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, traces))
-    return [fn(tr) for tr in traces]
-
-
 def conformance_check(
     log: EventLog,
     model: DeclareModel,
     backend: Backend = Backend.DIRECT,
-    *,
-    threads: int | None = 1,
 ) -> CheckReport:
-    """Check every trace against every constraint.
-
-    Results are merged in trace order, so the report does not depend on
-    the number of worker threads.
-    """
+    """Check every trace against every constraint, one trace at a time."""
     checkers = [(c.id, make_checker(c, backend)) for c in model.constraints]
-    fns = [fn for _, fn in checkers]
     indexed = backend is not Backend.DFA
-
-    def check_one(trace: Trace) -> list[bool]:
-        # One position index per row, shared by its constraints and dropped with it.
-        index = index_positions(trace.events) if indexed else None
-        return [fn(trace, index) for fn in fns]
-
-    rows = _map_traces(check_one, log.traces, threads)
 
     matrix: dict[tuple[int, int], bool] = {}
     compliant = []
     sat_counts = {cid: 0 for cid, _ in checkers}
-    for trace, row in zip(log.traces, rows):
-        for (cid, _), ok in zip(checkers, row):
+    for trace in log.traces:
+        # One position index per row, shared by its constraints and dropped with it.
+        index = index_positions(trace.events) if indexed else None
+        all_ok = True
+        for cid, fn in checkers:
+            ok = fn(trace, index)
             matrix[(trace.id, cid)] = ok
             if ok:
                 sat_counts[cid] += 1
-        if all(row):
+            else:
+                all_ok = False
+        if all_ok:
             compliant.append(trace.id)
 
     n = len(log)
@@ -207,17 +191,14 @@ def query_check(
     log: EventLog,
     threshold,
     backend: Backend = Backend.DIRECT,
-    *,
-    early_abort: bool = True,
 ) -> list[QueryAnswer]:
     """All bindings whose instantiated terms reach the support threshold.
 
     The threshold is a rational in (0, 1]; a binding is kept when at most
     floor((1 - threshold) * |log|) traces violate its instantiation,
-    which is exactly support >= threshold. With `early_abort`, bindings
-    are dropped as soon as the violation budget is exceeded; the answer
-    list is unaffected. Answers come sorted by descending support, then
-    by binding labels in variable-name order.
+    which is exactly support >= threshold. A binding is dropped as soon
+    as it exceeds that violation budget. Answers come sorted by
+    descending support, then by binding labels in variable-name order.
     """
     s = Fraction(threshold)
     if not (0 < s <= 1):
@@ -262,7 +243,7 @@ def query_check(
         for trace, index in rows:
             if not all(fn(trace, index) for fn in checkers):
                 violations += 1
-                if early_abort and violations > max_violations:
+                if violations > max_violations:
                     break
         if violations <= max_violations:
             answers.append(

@@ -69,17 +69,29 @@ def test_check_writes_report(workdir):
     assert doc["supports"] == {"0": "2/3", "1": "2/3"}
 
 
-def test_check_report_identical_across_threads(workdir):
-    for threads, name in ((None, "default.json"), ("1", "one.json"), ("3", "three.json")):
-        flags = ("--threads", threads) if threads else ()
+def test_check_report_identical_across_runs_and_formats(workdir):
+    out = run_cli("convert", "--in", "log.lp", "--out", "log.csv", cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    for log, name in (("log.lp", "one.json"), ("log.lp", "two.json"), ("log.csv", "csv.json")):
         out = run_cli(
-            "check", "--log", "log.lp", "--model", "model.lp",
-            "--out", name, *flags,
+            "check", "--log", log, "--model", "model.lp", "--out", name,
             cwd=workdir,
         )
-        assert out.returncode == 0
-    assert (workdir / "one.json").read_bytes() == (workdir / "three.json").read_bytes()
-    assert (workdir / "default.json").read_bytes() == (workdir / "one.json").read_bytes()
+        assert out.returncode == 0, out.stderr
+    assert (workdir / "one.json").read_bytes() == (workdir / "two.json").read_bytes()
+    from_lp = json.loads((workdir / "one.json").read_text())
+    from_csv = json.loads((workdir / "csv.json").read_text())
+    assert from_lp.pop("log") == "log.lp" and from_csv.pop("log") == "log.csv"
+    assert from_lp == from_csv
+
+
+def test_check_threads_flag_is_gone(workdir):
+    out = run_cli(
+        "check", "--log", "log.lp", "--model", "model.lp", "--threads", "2",
+        cwd=workdir,
+    )
+    assert out.returncode == 3
+    assert "--threads" in out.stderr
 
 
 def test_check_missing_file_exits_two(workdir):

@@ -2,11 +2,14 @@
 
 import gzip
 import json
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declarekit import (
     Activity,
@@ -159,8 +162,10 @@ def test_parse_model_missing_binding():
 
 
 def test_parse_model_binding_without_declaration():
-    with pytest.raises(IngestError, match="constraint"):
-        parse_model("bind(0,arg_0,a). bind(0,arg_1,b).")
+    with pytest.raises(IngestError, match="undeclared constraint 0") as err:
+        parse_model('constraint(1,"Response"). bind(1,arg_0,a). bind(1,arg_1,b).\n'
+                    "bind(0,arg_0,a). bind(0,arg_1,b).")
+    assert err.value.line == 2
 
 
 def test_model_round_trip():
@@ -194,6 +199,26 @@ def test_parse_query_multiple_terms_share_variables():
     query = parse_query(text)
     assert len(query.terms) == 2
     assert query.variables() == (Variable("x"), Variable("y"))
+
+
+def test_parse_query_rejects_redeclared_constraint():
+    text = """
+    constraint(0,"Response").
+    constraint(0,"Precedence"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).
+    """
+    with pytest.raises(IngestError, match="constraint 0 declared twice") as err:
+        parse_query(text)
+    assert err.value.line == 3
+
+
+def test_parse_query_rejects_bind_for_undeclared_constraint():
+    text = """
+    constraint(0,"Response"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).
+    bind(7,arg_0,z).
+    """
+    with pytest.raises(IngestError, match="undeclared constraint 7") as err:
+        parse_query(text)
+    assert err.value.line == 3
 
 
 # --------------------------------------------------------------------------
@@ -334,6 +359,53 @@ def test_load_save_dispatch_by_suffix(tmp_path):
         path = tmp_path / name
         save_log(log, path)
         assert load_log(path) == log, name
+
+
+_HOSTILE = ['"', "\\", "%", ",", "<", ">", "&", "'", "\r", "\n", "\t", " ", "é", "日", "🙂"]
+# XML 1.0 cannot carry other control characters, surrogates or U+FFFE/U+FFFF.
+_LABELS = st.one_of(
+    st.text(
+        st.one_of(
+            st.sampled_from(_HOSTILE),
+            st.characters(blacklist_categories=("Cs", "Cc", "Cn")),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(-20, 20).map(str),
+    st.sampled_from(["007", "a", "x_1", "\r\n"]),
+).filter(lambda label: label != "*")
+
+
+@settings(max_examples=80, deadline=None)
+@given(traces=st.lists(st.lists(_LABELS, min_size=1, max_size=4), min_size=1, max_size=3))
+def test_hostile_labels_survive_every_file_format(traces):
+    log = EventLog(tuple(Trace.from_labels(i, labels) for i, labels in enumerate(traces)))
+    assert parse_csv(write_csv(log)) == log
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("t.lp", "t.xes", "t.xes.gz", "t.csv"):
+            path = Path(tmp) / name
+            save_log(log, path)
+            assert load_log(path) == log, name
+
+
+def test_cr_and_crlf_files_keep_error_line_numbers(tmp_path):
+    bad_lp = tmp_path / "bad.lp"
+    for eol in (b"\r\n", b"\r"):
+        bad_lp.write_bytes(eol.join([b"trace(0,0,a).", b"trace(0,1,b).", b"trace(0,2,).", b""]))
+        with pytest.raises(IngestError) as err:
+            load_log(bad_lp)
+        assert err.value.line == 3, eol
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(b"case_id,activity\r\n0,a\r\n0,b,9\r\n")
+    with pytest.raises(IngestError, match="columns") as err:
+        load_log(bad_csv)
+    assert err.value.line == 3
+
+
+def test_parse_csv_reader_errors_are_ingest_errors():
+    with pytest.raises(IngestError, match="malformed CSV"):
+        parse_csv("case_id,activity\n0," + "x" * 200_000 + "\n")
 
 
 def test_load_log_unknown_suffix(tmp_path):

@@ -95,15 +95,28 @@ def test_conformance_identical_across_backends():
     assert reports[0].compliant == reports[1].compliant == reports[2].compliant
 
 
-def test_conformance_identical_across_thread_counts():
+def test_conformance_matches_fresh_checkers_cell_by_cell():
     log = _log(*("ab" * (i % 5) for i in range(40)))
     model = DeclareModel((
         Constraint(0, TemplateKind.ALTERNATE_RESPONSE, A, B),
         Constraint(1, TemplateKind.CHAIN_SUCCESSION, A, B),
     ))
-    solo = conformance_check(log, model, threads=1)
-    pooled = conformance_check(log, model, threads=4)
-    assert solo == pooled
+    for backend in Backend:
+        report = conformance_check(log, model, backend)
+        cells = {
+            (tr.id, c.id): make_checker(c, backend)(tr)
+            for tr in log.traces
+            for c in model.constraints
+        }
+        assert report.matrix == cells, backend
+        assert report.trace_ids == tuple(range(40))
+        assert report.compliant == frozenset(
+            tr.id for tr in log.traces if all(cells[(tr.id, c.id)] for c in model.constraints)
+        )
+        assert report.supports == {
+            c.id: Fraction(sum(cells[(tr.id, c.id)] for tr in log.traces), 40)
+            for c in model.constraints
+        }
 
 
 def test_make_checker_matches_direct_verdicts():
@@ -353,13 +366,30 @@ def test_query_answers_sorted_by_support_then_labels():
     assert keys == sorted(keys)
 
 
-def test_query_early_abort_changes_nothing():
+def test_query_budget_cutoff_matches_oracle():
+    """Stopping a binding at its violation budget loses no answer.
+
+    At 2/5 the budget is three violations of five, which cuts d-b off;
+    disjoint domains keep activation and target apart on every backend.
+    """
+    from oracles import brute_support
+
     log = _log("abab", "abac", "abadabd", "bcd", "")
     x, y = Variable("x"), Variable("y")
-    query = Query(terms=(QueryTerm(TemplateKind.SUCCESSION, x, y),))
-    eager = query_check(query, log, Fraction(2, 5), early_abort=True)
-    full = query_check(query, log, Fraction(2, 5), early_abort=False)
-    assert eager == full
+    query = Query(terms=(QueryTerm(TemplateKind.SUCCESSION, x, y),), domains={x: (A, D), y: (B, C)})
+    threshold = Fraction(2, 5)
+    supports = {
+        (ax, ay): brute_support(template_formula(TemplateKind.SUCCESSION, ax, ay), log.traces)
+        for ax, ay in itertools.product((A, D), (B, C))
+    }
+    want = sorted(
+        ((-sup, ax.label, ay.label) for (ax, ay), sup in supports.items() if sup >= threshold)
+    )
+    assert 0 < len(want) < len(supports)
+    for backend in Backend:
+        answers = query_check(query, log, threshold, backend)
+        got = [(-ans.support, ans.binding[x].label, ans.binding[y].label) for ans in answers]
+        assert got == want, backend
 
 
 def test_query_threshold_validation():
