@@ -46,7 +46,7 @@ class _Fact:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
 _QUOTED_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
-_WS_RE = re.compile(r"(?:\s+|%[^\n]*)+")
+_WS_RE = re.compile(r"(?:\s+|%[^\r\n]*)+")
 
 
 def _unescape(tok: str) -> str:
@@ -341,6 +341,13 @@ def parse_query(text: str) -> Query:
 # --------------------------------------------------------------------------
 # XES (concept:name subset)
 
+def _names_file(source) -> bool:
+    try:
+        return isinstance(source, (str, Path)) and "\n" not in str(source) and Path(source).exists()
+    except OSError:  # document text too long to be a file name
+        return False
+
+
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -351,7 +358,7 @@ def parse_xes(source) -> EventLog:
     Only event concept:name attributes are read; trace ids follow
     document order. Paths ending in .gz are transparently decompressed.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source) and Path(source).exists():
+    if _names_file(source):
         path = Path(source)
         opener = gzip.open if path.name.endswith(".gz") else open
         with opener(path, "rb") as fh:
@@ -421,7 +428,7 @@ def write_xes(log: EventLog) -> str:
 
 def _csv_rows(text: str) -> list[list[str]]:
     # Its own function, so the reader's StringIO (a copy of the whole text)
-    # is freed before parse_csv builds the traces.
+    # is freed before _parse_csv_text builds the traces.
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return list(reader)
@@ -437,12 +444,14 @@ def parse_csv(source) -> EventLog:
     may arrive shuffled and are ordered by their positions, which must
     not repeat within a case.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source) and Path(source).exists():
-        text = _read_text(source)
+    if _names_file(source):
+        source = _read_text(source)
     elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+        source = source.read()
+    return _parse_csv_text(source)
+
+
+def _parse_csv_text(text: str) -> EventLog:
     rows = _csv_rows(text)
     if not rows:
         raise IngestError("empty CSV document")
@@ -559,10 +568,8 @@ def write_report(
 # --------------------------------------------------------------------------
 # Path-based loading
 
-# Files are read and written with newline="" so that "\r" and "\r\n"
-# inside quoted labels come back as they were written.
-
 def _read_text(path) -> str:
+    # newline="" here and in save_log: "\r" and "\r\n" inside labels survive.
     with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
@@ -576,7 +583,7 @@ def load_log(path) -> EventLog:
     if name.endswith(".lp"):
         return parse_factlog(_read_text(p))
     if name.endswith(".csv"):
-        return parse_csv(_read_text(p))
+        return _parse_csv_text(_read_text(p))
     raise IngestError(
         f"cannot infer log format from suffix of {name!r}; "
         "expected .lp, .csv, .xes, or .xes.gz"

@@ -402,6 +402,34 @@ def test_cr_and_crlf_files_keep_error_line_numbers(tmp_path):
         load_log(bad_csv)
     assert err.value.line == 3
 
+    # A "%" comment ends at a lone "\r" too, so the facts after it are kept.
+    commented_lp = tmp_path / "commented.lp"
+    commented_lp.write_bytes(b"trace(0,0,a).\r% a comment\rtrace(0,1,b).\rtrace(1,0,c).\r")
+    log = load_log(commented_lp)
+    assert [[a.label for a in t.events] for t in log.traces] == [["a", "b"], ["c"]]
+    commented_model = tmp_path / "model.lp"
+    commented_model.write_bytes(
+        b'% two constraints\rconstraint(0,"Response").\r% binds\r'
+        b'bind(0,arg_0,a).\rbind(0,arg_1,b).\rconstraint(1,"Precedence").\r'
+        b"bind(1,arg_0,c).\rbind(1,arg_1,d).\r"
+    )
+    model = load_model(commented_model)
+    assert model.get(0).kind is TemplateKind.RESPONSE
+    assert (model.get(0).activation.label, model.get(0).target.label) == ("a", "b")
+    assert model.get(1).kind is TemplateKind.PRECEDENCE
+    assert (model.get(1).activation.label, model.get(1).target.label) == ("c", "d")
+
+    # A CR-only CSV has no "\n"; loading it must not treat its text as a path.
+    cr_csv = tmp_path / "cr.csv"
+    rows = [b"case_id,activity"] + [b"%d,activity_%d" % (i // 4, i) for i in range(40)]
+    cr_csv.write_bytes(b"\r".join(rows) + b"\r")
+    assert cr_csv.stat().st_size > 300
+    log = load_log(cr_csv)
+    assert len(log.traces) == 10
+    assert [a.label for a in log.traces[9].events] == [f"activity_{i}" for i in range(36, 40)]
+    assert parse_csv(cr_csv.read_bytes().decode()) == log
+    assert parse_xes(write_xes(log).replace("\n", "")) == log
+
 
 def test_parse_csv_reader_errors_are_ingest_errors():
     with pytest.raises(IngestError, match="malformed CSV"):
