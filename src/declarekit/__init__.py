@@ -4,151 +4,60 @@ The package evaluates Declare templates three independent ways: direct
 scans over event positions, evaluation of the template's temporal
 formula on the trace, and replay through a compiled automaton. The
 backends are interchangeable and cross-checked against each other.
+
+Names are resolved on first use (PEP 562): `import declarekit` loads no
+submodule, and each name imports only the module that defines it, so a
+command pays only for what it runs.
 """
 
-from .automata import (
-    Dfa,
-    OTHER,
-    StateBudgetExceeded,
-    compile_formula,
-    complement,
-    minimize,
-    product,
-    run,
-    template_dfa,
-    to_dot,
-    to_facts_dict,
-    to_facts_json,
-)
-from .core import (
-    Activity,
-    Constraint,
-    DeclareModel,
-    EventLog,
-    TemplateKind,
-    Trace,
-)
-from .direct import DirectVerdict, check_direct
-from .ingest import (
-    IngestError,
-    load_log,
-    load_model,
-    load_query,
-    parse_csv,
-    parse_factlog,
-    parse_model,
-    parse_query,
-    parse_xes,
-    save_log,
-    write_csv,
-    write_factlog,
-    write_model,
-    write_report,
-    write_xes,
-)
-from .loggen import (
-    GeneratedLog,
-    GeneratorError,
-    PathCountTable,
-    build_generator,
-    generate_log,
-    generator_alphabet,
-    sample_trace,
-    write_label_manifest,
-)
-from .ltlf import (
-    Formula,
-    FormulaSyntaxError,
-    eval_table,
-    eval_tree,
-    ev_empty,
-    nnf,
-    parse_formula,
-    pretty,
-    template_formula,
-)
-from .tasks import (
-    Backend,
-    CheckReport,
-    EmptyLogError,
-    Query,
-    QueryAnswer,
-    QueryTerm,
-    Variable,
-    conformance_check,
-    make_checker,
-    query_check,
-    support,
-)
-from .xcheck import Disagreement, exhaustive_check, random_check
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Activity",
-    "Backend",
-    "CheckReport",
-    "Constraint",
-    "DeclareModel",
-    "Dfa",
-    "DirectVerdict",
-    "Disagreement",
-    "EmptyLogError",
-    "EventLog",
-    "Formula",
-    "FormulaSyntaxError",
-    "GeneratedLog",
-    "GeneratorError",
-    "IngestError",
-    "OTHER",
-    "PathCountTable",
-    "Query",
-    "QueryAnswer",
-    "QueryTerm",
-    "StateBudgetExceeded",
-    "TemplateKind",
-    "Trace",
-    "Variable",
-    "build_generator",
-    "check_direct",
-    "compile_formula",
-    "complement",
-    "conformance_check",
-    "ev_empty",
-    "eval_table",
-    "eval_tree",
-    "exhaustive_check",
-    "generate_log",
-    "generator_alphabet",
-    "load_log",
-    "load_model",
-    "load_query",
-    "make_checker",
-    "minimize",
-    "nnf",
-    "parse_csv",
-    "parse_factlog",
-    "parse_formula",
-    "parse_model",
-    "parse_query",
-    "parse_xes",
-    "pretty",
-    "product",
-    "query_check",
-    "random_check",
-    "run",
-    "sample_trace",
-    "save_log",
-    "support",
-    "template_dfa",
-    "template_formula",
-    "to_dot",
-    "to_facts_dict",
-    "to_facts_json",
-    "write_csv",
-    "write_factlog",
-    "write_label_manifest",
-    "write_model",
-    "write_report",
-    "write_xes",
-]
+# Submodule -> the names the package exports from it.
+_EXPORTS = {
+    "automata": (
+        "Dfa", "OTHER", "StateBudgetExceeded", "compile_formula", "complement",
+        "minimize", "product", "run", "template_dfa", "to_dot", "to_facts_dict",
+        "to_facts_json",
+    ),
+    "core": ("Activity", "Constraint", "DeclareModel", "EventLog", "TemplateKind", "Trace"),
+    "direct": ("DirectVerdict", "check_direct"),
+    "ingest": (
+        "IngestError", "load_log", "load_model", "load_query", "parse_csv",
+        "parse_factlog", "parse_model", "parse_query", "parse_xes", "save_log",
+        "write_csv", "write_factlog", "write_model", "write_report", "write_xes",
+    ),
+    "loggen": (
+        "GeneratedLog", "GeneratorError", "PathCountTable", "build_generator",
+        "generate_log", "generator_alphabet", "sample_trace", "write_label_manifest",
+    ),
+    "ltlf": (
+        "Formula", "FormulaSyntaxError", "eval_table", "eval_tree", "ev_empty", "nnf",
+        "parse_formula", "pretty", "template_formula",
+    ),
+    "tasks": (
+        "Backend", "CheckReport", "EmptyLogError", "Query", "QueryAnswer", "QueryTerm",
+        "Variable", "conformance_check", "make_checker", "query_check", "support",
+    ),
+    "xcheck": ("Disagreement", "exhaustive_check", "random_check"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+    elif name in _EXPORTS:  # a submodule, as `import declarekit` used to load them all
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

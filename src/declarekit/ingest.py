@@ -12,14 +12,11 @@ and an optional position column.
 from __future__ import annotations
 
 import csv
-import gzip
 import io
-import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
-from xml.etree import ElementTree
 
 from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, Trace
 from .tasks import CheckReport, Query, QueryTerm, Variable
@@ -358,6 +355,9 @@ def parse_xes(source) -> EventLog:
     Only event concept:name attributes are read; trace ids follow
     document order. Paths ending in .gz are transparently decompressed.
     """
+    import gzip  # imported here, as in save_log: only XES paths need these
+    from xml.etree import ElementTree
+
     if _names_file(source):
         path = Path(source)
         opener = gzip.open if path.name.endswith(".gz") else open
@@ -426,16 +426,6 @@ def write_xes(log: EventLog) -> str:
 # --------------------------------------------------------------------------
 # CSV
 
-def _csv_rows(text: str) -> list[list[str]]:
-    # Its own function, so the reader's StringIO (a copy of the whole text)
-    # is freed before _parse_csv_text builds the traces.
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise IngestError(f"malformed CSV: {exc}", reader.line_num) from None
-
-
 def parse_csv(source) -> EventLog:
     """Parse case_id/activity[/position] rows.
 
@@ -452,35 +442,49 @@ def parse_csv(source) -> EventLog:
 
 
 def _parse_csv_text(text: str) -> EventLog:
-    rows = _csv_rows(text)
-    if not rows:
-        raise IngestError("empty CSV document")
-    header = rows[0]
-    if header[:2] != ["case_id", "activity"]:
-        raise IngestError("CSV header must start with case_id,activity", 1)
-    with_pos = len(header) >= 3 and header[2] == "position"
-
-    cases: dict[str, list[tuple[int | None, Activity]]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+    reader = csv.reader(io.StringIO(text, newline=""))
+    cases: dict[str, list] = {}  # case id -> activities, or (position, activity)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("empty CSV document")
+        if header[:2] != ["case_id", "activity"]:
+            raise IngestError("CSV header must start with case_id,activity", 1)
+        with_pos = len(header) >= 3 and header[2] == "position"
         expected = 3 if with_pos else 2
-        if len(row) != expected:
-            raise IngestError(f"expected {expected} columns, found {len(row)}", lineno)
-        case = row[0]
-        if not case:
-            raise IngestError("empty case id", lineno)
-        try:
-            act = Activity(row[1])
-        except ValueError as exc:
-            raise IngestError(str(exc), lineno) from None
-        pos: int | None = None
-        if with_pos:
-            try:
-                pos = int(row[2])
-            except ValueError:
-                raise IngestError(f"bad position {row[2]!r}", lineno) from None
-        cases.setdefault(case, []).append((pos, act))
+        acts: dict[str, Activity] = {}
+        # A quoted field may span lines: a row starts on the line after the
+        # last line of the row before it.
+        end = reader.line_num
+        for row in reader:
+            line = end + 1
+            end = reader.line_num
+            if not row:
+                continue
+            if len(row) != expected:
+                raise IngestError(f"expected {expected} columns, found {len(row)}", line)
+            case, label = row[0], row[1]
+            if not case:
+                raise IngestError("empty case id", line)
+            act = acts.get(label)
+            if act is None:
+                try:
+                    act = acts[label] = Activity(label)
+                except ValueError as exc:
+                    raise IngestError(str(exc), line) from None
+            entries = cases.get(case)
+            if entries is None:
+                entries = cases[case] = []
+            if with_pos:
+                try:
+                    entries.append((int(row[2]), act))
+                except ValueError:
+                    raise IngestError(f"bad position {row[2]!r}", line) from None
+            else:
+                entries.append(act)
+    except csv.Error as exc:
+        raise IngestError(f"malformed CSV: {exc}", reader.line_num) from None
+    del reader  # its StringIO holds a copy of the whole text
 
     try:
         ids = [int(case) for case in cases]
@@ -494,11 +498,11 @@ def _parse_csv_text(text: str) -> EventLog:
     traces = []
     for tid, (case, entries) in zip(ids, cases.items()):
         if with_pos:
-            positions = [p for p, _ in entries]
-            if len(set(positions)) != len(positions):
+            if len({pos for pos, _ in entries}) != len(entries):
                 raise IngestError(f"case {case!r} repeats a position")
-            entries = sorted(entries, key=lambda e: e[0])
-        traces.append(Trace(tid, tuple(act for _, act in entries)))
+            entries.sort()  # positions are unique, so they alone decide the order
+            entries = [act for _, act in entries]
+        traces.append(Trace(tid, tuple(entries)))
     traces.sort(key=lambda tr: tr.id)
     return EventLog(traces)
 
@@ -524,6 +528,46 @@ def _fraction_str(fr) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
+def _json_block(brackets: str, items: list[str], indent: str) -> str:
+    """Rendered, indented items between `brackets`, laid out as
+    json.dumps(..., indent=2) lays out a container at depth `indent`."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
+def _report_json(report: CheckReport, tids, cids, log_name: str, model_name: str) -> str:
+    """The text json.dumps(doc, indent=2) gives for the report document.
+
+    Written directly, since that encoder runs in pure Python. Strings are
+    escaped as ensure_ascii escapes them; the two cells of each constraint
+    are rendered once and picked per trace by the verdict.
+    """
+    enc = encode_basestring_ascii
+    cells = [
+        (cid, (f"      {enc(str(cid))}: false", f"      {enc(str(cid))}: true"))
+        for cid in cids
+    ]
+    matrix = report.matrix
+    rows = [
+        f"    {enc(str(tid))}: "
+        + _json_block("{}", [pair[matrix[tid, cid]] for cid, pair in cells], "    ")
+        for tid in tids
+    ]
+    supports = [
+        f"    {enc(str(cid))}: {enc(_fraction_str(report.supports[cid]))}" for cid in cids
+    ]
+    doc = [
+        f'  "log": {enc(log_name)}',
+        f'  "model": {enc(model_name)}',
+        f'  "backend": {enc(report.backend.value)}',
+        '  "matrix": ' + _json_block("{}", rows, "  "),
+        '  "compliant": ' + _json_block("[]", [f"    {t}" for t in sorted(report.compliant)], "  "),
+        '  "supports": ' + _json_block("{}", supports, "  "),
+    ]
+    return _json_block("{}", doc, "")
+
+
 def write_report(
     report: CheckReport,
     format: str = "json",
@@ -540,18 +584,7 @@ def write_report(
     tids = sorted(report.trace_ids)
     cids = sorted(report.constraint_ids)
     if format == "json":
-        doc = {
-            "log": log_name,
-            "model": model_name,
-            "backend": report.backend.value,
-            "matrix": {
-                str(tid): {str(cid): report.matrix[(tid, cid)] for cid in cids}
-                for tid in tids
-            },
-            "compliant": sorted(report.compliant),
-            "supports": {str(cid): _fraction_str(report.supports[cid]) for cid in cids},
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return (_report_json(report, tids, cids, log_name, model_name) + "\n").encode("ascii")
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -594,6 +627,8 @@ def save_log(log: EventLog, path) -> None:
     p = Path(path)
     name = p.name
     if name.endswith(".xes.gz"):
+        import gzip
+
         with gzip.open(p, "wt", encoding="utf-8", newline="") as fh:
             fh.write(write_xes(log))
         return

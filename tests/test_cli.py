@@ -29,18 +29,22 @@ constraint(1,"Precedence"). bind(1,arg_0,a). bind(1,arg_1,c).
 """
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
     # An inherited relative PYTHONPATH (such as ``src``) does not resolve
     # from ``cwd``, so the absolute package root goes first.
     paths = [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
-        [sys.executable, "-m", "declarekit.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "declarekit.cli", *args, cwd=cwd)
 
 
 @pytest.fixture()
@@ -253,3 +257,55 @@ def test_bench_writes_csv(workdir):
 def test_no_subcommand_exits_three():
     out = run_cli()
     assert out.returncode == 3
+
+
+IMPORT_SCOPE = """
+import sys
+
+import declarekit
+
+assert not [m for m in sys.modules if m.startswith("declarekit.")], sorted(sys.modules)
+assert set(declarekit.__all__) <= set(dir(declarekit))
+try:
+    declarekit.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+
+namespace = {}
+exec("from declarekit import *", namespace)
+for name in declarekit.__all__:
+    defined = [
+        getattr(sys.modules[m], name) for m in sys.modules
+        if m.startswith("declarekit.") and name in vars(sys.modules[m])
+    ]
+    assert defined and all(namespace[name] is d for d in defined), name
+    assert getattr(declarekit, name) is namespace[name], name
+print(len(declarekit.__all__))
+"""
+
+CHECK_SCOPE = """
+import sys
+
+from declarekit import cli
+
+rc = cli.main(["check", "--log", "log.lp", "--model", "model.lp", "--out", "r.json"])
+assert rc == 0, rc
+loaded = [m for m in ("declarekit.loggen", "declarekit.xcheck", "statistics", "gzip",
+                      "xml.etree.ElementTree") if m in sys.modules]
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def test_package_names_resolve_on_first_use(workdir):
+    out = run_python("-c", IMPORT_SCOPE, cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(len(declarekit.__all__))
+
+
+def test_check_imports_only_what_it_runs(workdir):
+    out = run_python("-c", CHECK_SCOPE, cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith("\nok\n")

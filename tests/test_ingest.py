@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import random
 import tempfile
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from declarekit import (
     Activity,
+    Backend,
     Constraint,
     DeclareModel,
     EventLog,
@@ -353,6 +355,85 @@ def test_report_csv_layout():
     assert lines[2] == "1,0,0"
 
 
+def _reference_report_json(report, log_name, model_name):
+    """The report layout as json.dumps writes it: the oracle for write_report."""
+    tids = sorted(report.trace_ids)
+    cids = sorted(report.constraint_ids)
+    doc = {
+        "log": log_name,
+        "model": model_name,
+        "backend": report.backend.value,
+        "matrix": {
+            str(tid): {str(cid): report.matrix[(tid, cid)] for cid in cids} for tid in tids
+        },
+        "compliant": sorted(report.compliant),
+        "supports": {
+            str(cid): f"{report.supports[cid].numerator}/{report.supports[cid].denominator}"
+            for cid in cids
+        },
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def _seeded_log_and_model(seed):
+    """Trace ids neither contiguous nor in input order; constraint ids likewise.
+
+    Every kind but the two choices holds on a trace without its activities,
+    so the short traces make some rows compliant.
+    """
+    rng = random.Random(seed)
+    tids = rng.sample(range(1000), 60)
+    log = EventLog(
+        tuple(Trace.from_labels(tid, rng.choices("abcw", k=rng.randint(0, 12))) for tid in tids)
+    )
+    choices = (TemplateKind.CHOICE, TemplateKind.EXCLUSIVE_CHOICE)
+    kinds = [k for k in TemplateKind if k not in choices]
+    cids = rng.sample(range(200), 2 * len(kinds))
+    pairs = [(A, B), (C, A)] * len(kinds)
+    model = DeclareModel(
+        tuple(Constraint(cid, kinds[i // 2], *pairs[i]) for i, cid in enumerate(cids))
+    )
+    return log, model
+
+
+_ODD_NAMES = ('quote" back\\ nl\n tab\t ctl\x01 del\x7f', "é 日 🙂 \u2028")
+
+
+def test_report_json_bytes_match_json_dumps():
+    log, model = _seeded_log_and_model(11)
+    assert list(log.traces) != sorted(log.traces, key=lambda tr: tr.id)
+    seen = set()
+    for backend in Backend:
+        report = conformance_check(log, model, backend)
+        assert 0 < len(report.compliant) < len(log)
+        for names in (("L.csv", "M.lp"), _ODD_NAMES, ("", "")):
+            got = write_report(report, "json", log_name=names[0], model_name=names[1])
+            assert got == _reference_report_json(report, *names), (backend, names)
+            seen.add(got)
+    assert len(seen) == 9  # the backend name differs, so each report is its own
+
+    no_compliant = DeclareModel((Constraint(3, TemplateKind.RESPONSE, A, B),
+                                 Constraint(1, TemplateKind.CHOICE, C, C)))
+    shuffled = EventLog((Trace.from_labels(9, "a"), Trace.from_labels(2, "ba"),
+                         Trace.from_labels(5, "aab")))
+    cases = {
+        "empty model": (log, DeclareModel(())),
+        "empty log": (EventLog(()), model),
+        "empty log and model": (EventLog(()), DeclareModel(())),
+        "no compliant trace": (shuffled, no_compliant),
+    }
+    for what, (case_log, case_model) in cases.items():
+        for backend in Backend:
+            report = conformance_check(case_log, case_model, backend)
+            got = write_report(report, "json", log_name=_ODD_NAMES[0], model_name=_ODD_NAMES[1])
+            assert got == _reference_report_json(report, *_ODD_NAMES), (what, backend)
+    report = conformance_check(*cases["no compliant trace"])
+    assert b'"compliant": [],' in write_report(report, "json")
+    assert write_report(report, "csv") == b"trace_id,1,3,compliant\n2,0,0,0\n5,0,1,0\n9,0,0,0\n"
+    report = conformance_check(*cases["empty model"])
+    assert b'"supports": {}\n}\n' in write_report(report, "json")
+
+
 def test_load_save_dispatch_by_suffix(tmp_path):
     log = _log("abc", "ba")
     for name in ("t.lp", "t.csv", "t.xes", "t.xes.gz"):
@@ -429,6 +510,32 @@ def test_cr_and_crlf_files_keep_error_line_numbers(tmp_path):
     assert [a.label for a in log.traces[9].events] == [f"activity_{i}" for i in range(36, 40)]
     assert parse_csv(cr_csv.read_bytes().decode()) == log
     assert parse_xes(write_xes(log).replace("\n", "")) == log
+
+
+def test_parse_csv_errors_name_the_physical_line():
+    """A quoted label may span lines; errors name the line a row starts on."""
+    quoted = 'case_id,activity\n0,"a\nb"\n'
+    cases = [
+        (quoted + "0,b,9\n", "expected 2 columns", 4),
+        (quoted + ",b\n", "empty case id", 4),
+        (quoted + "0,*\n", "reserved", 4),
+        ('case_id,activity,position\n0,"a\nb"\n', "expected 3 columns", 2),
+        ('case_id,activity,position\n0,"a\r\nb",0\r\n\r\n0,b,x\r\n', "bad position", 5),
+    ]
+    for text, message, line in cases:
+        with pytest.raises(IngestError, match=message) as err:
+            parse_csv(text)
+        assert err.value.line == line, text
+        assert str(err.value).startswith(f"line {line}: "), text
+
+
+def test_parse_csv_reports_the_first_fault_in_document_order():
+    with pytest.raises(IngestError, match="reserved") as err:
+        parse_csv("case_id,activity\n0,a\n0,*\n0," + "x" * 200_000 + "\n")
+    assert err.value.line == 3
+    with pytest.raises(IngestError, match="malformed CSV") as err:
+        parse_csv("case_id,activity\n0,a\n0," + "x" * 200_000 + "\n0,*\n")
+    assert err.value.line == 3
 
 
 def test_parse_csv_reader_errors_are_ingest_errors():
