@@ -23,8 +23,6 @@ from .ltlf import (
     FalseConst,
     Formula,
     Globally,
-    Iff,
-    Implies,
     Next,
     Not,
     Or,
@@ -130,6 +128,8 @@ _EMPTY = Globally(FALSE)
 
 
 def _progress(f: Formula, sym: SymbolClass) -> Formula:
+    """Progress a formula in negation normal form, as compile_formula
+    feeds it: no -> or <->, and negation only on atoms."""
     if isinstance(f, (TrueConst, FalseConst)):
         return f
     if isinstance(f, Atom):
@@ -140,20 +140,14 @@ def _progress(f: Formula, sym: SymbolClass) -> Formula:
         return And(tuple(_progress(x, sym) for x in f.args))
     if isinstance(f, Or):
         return Or(tuple(_progress(x, sym) for x in f.args))
-    if isinstance(f, Implies):
-        return Implies(_progress(f.left, sym), _progress(f.right, sym))
-    if isinstance(f, Iff):
-        return Iff(_progress(f.left, sym), _progress(f.right, sym))
     if isinstance(f, Next):
         return And((f.arg, _NONEMPTY))
     if isinstance(f, WeakNext):
         return Or((f.arg, _EMPTY))
-    if isinstance(f, Until):
+    if isinstance(f, (Until, WeakUntil)):  # they differ only on the empty trace
         return Or((_progress(f.right, sym), And((_progress(f.left, sym), f))))
     if isinstance(f, Release):
         return And((_progress(f.right, sym), Or((_progress(f.left, sym), f))))
-    if isinstance(f, WeakUntil):
-        return Or((_progress(f.right, sym), And((_progress(f.left, sym), f))))
     if isinstance(f, Eventually):
         return Or((_progress(f.arg, sym), f))
     if isinstance(f, Globally):
@@ -162,15 +156,17 @@ def _progress(f: Formula, sym: SymbolClass) -> Formula:
 
 
 def _simplify(f: Formula) -> Formula:
-    """Canonical form: fold constants, flatten/sort/dedupe And and Or."""
+    """Canonical form: fold constants, flatten/sort/dedupe And and Or.
+
+    Its input is a formula in negation normal form or a progression of
+    one, so a negation wraps an atom or, once progressed, a constant.
+    """
     if isinstance(f, Not):
         arg = _simplify(f.arg)
         if isinstance(arg, TrueConst):
             return FALSE
         if isinstance(arg, FalseConst):
             return TRUE
-        if isinstance(arg, Not):
-            return arg.arg
         return Not(arg)
     if isinstance(f, And):
         flat: list[Formula] = []
@@ -198,13 +194,6 @@ def _simplify(f: Formula) -> Formula:
         if not uniq:
             return FALSE
         return uniq[0] if len(uniq) == 1 else Or(tuple(uniq))
-    if isinstance(f, Implies):
-        return _simplify(Or((Not(f.left), f.right)))
-    if isinstance(f, Iff):
-        left, right = _simplify(f.left), _simplify(f.right)
-        if left == right:
-            return TRUE
-        return Iff(left, right)
     if isinstance(f, Next):
         arg = _simplify(f.arg)
         return FALSE if isinstance(arg, FalseConst) else Next(arg)
@@ -263,34 +252,13 @@ def compile_formula(f: Formula, *, state_budget: int = 4096) -> Dfa:
 # --------------------------------------------------------------------------
 # Minimization and boolean combinations
 
-def _renumber(dfa: Dfa) -> Dfa:
-    """Canonical state numbering by breadth-first reach from the initial state."""
-    width = len(dfa.named) + 1
-    order: dict[int, int] = {dfa.initial: 0}
-    queue = [dfa.initial]
-    qi = 0
-    while qi < len(queue):
-        s = queue[qi]
-        qi += 1
-        for col in range(width):
-            t = dfa.moves[s][col]
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    rows = [
-        tuple(order[dfa.moves[s][col]] for col in range(width))
-        for s in sorted(order, key=order.get)
-    ]
-    accepting = frozenset(order[s] for s in dfa.accepting if s in order)
-    return Dfa(named=dfa.named, moves=tuple(rows), initial=0, accepting=accepting)
-
-
 def minimize(dfa: Dfa) -> Dfa:
     """Language-preserving reduction to the least total DFA.
 
     Unreachable states are dropped, then blocks are split by acceptance
-    and refined on transition signatures until stable; the quotient is
-    renumbered breadth first so equal languages give equal tables.
+    and refined on transition signatures until stable. The blocks are
+    numbered breadth first from the initial state's, so equal languages
+    give equal tables.
     """
     width = len(dfa.named) + 1
     reachable: list[int] = [dfa.initial]
@@ -325,17 +293,20 @@ def minimize(dfa: Dfa) -> Dfa:
     reps: dict[int, int] = {}
     for s in reachable:
         reps.setdefault(block[s], s)
-    ordered_blocks = sorted(reps)
-    index = {b: i for i, b in enumerate(ordered_blocks)}
-    rows = tuple(
-        tuple(index[block[dfa.moves[reps[b]][c]]] for c in range(width))
-        for b in ordered_blocks
-    )
-    accepting = frozenset(index[b] for b in ordered_blocks if reps[b] in dfa.accepting)
-    quotient = Dfa(
-        named=dfa.named, moves=rows, initial=index[block[dfa.initial]], accepting=accepting
-    )
-    return _renumber(quotient)
+    index = {block[dfa.initial]: 0}
+    order = [block[dfa.initial]]
+    rows = []
+    for b in order:  # grows as the walk finds blocks
+        row = []
+        for c in range(width):
+            t = block[dfa.moves[reps[b]][c]]
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            row.append(index[t])
+        rows.append(tuple(row))
+    accepting = frozenset(index[b] for b in order if reps[b] in dfa.accepting)
+    return Dfa(named=dfa.named, moves=tuple(rows), initial=0, accepting=accepting)
 
 
 def complement(dfa: Dfa) -> Dfa:

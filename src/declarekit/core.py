@@ -22,7 +22,7 @@ class Activity:
     read stays alive until the process exits.
     """
 
-    __slots__ = ("_label", "_index")
+    __slots__ = ("_label",)
 
     _pool: dict[str, "Activity"] = {}
     _lock = threading.Lock()
@@ -41,18 +41,12 @@ class Activity:
             if hit is None:
                 hit = super().__new__(cls)
                 hit._label = label
-                hit._index = len(pool)
                 pool[label] = hit
         return hit
 
     @property
     def label(self) -> str:
         return self._label
-
-    @property
-    def index(self) -> int:
-        """Intern index, assigned in creation order."""
-        return self._index
 
     def __lt__(self, other: "Activity") -> bool:
         return self._label < other._label

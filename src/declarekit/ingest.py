@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -338,13 +339,6 @@ def parse_query(text: str) -> Query:
 # --------------------------------------------------------------------------
 # XES (concept:name subset)
 
-def _names_file(source) -> bool:
-    try:
-        return isinstance(source, (str, Path)) and "\n" not in str(source) and Path(source).exists()
-    except OSError:  # document text too long to be a file name
-        return False
-
-
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -352,16 +346,17 @@ def _local(tag: str) -> str:
 def parse_xes(source) -> EventLog:
     """Parse a XES document from a path, file object, or XML text.
 
-    Only event concept:name attributes are read; trace ids follow
-    document order. Paths ending in .gz are transparently decompressed.
+    An os.PathLike is read as a file, decompressed when its name ends in
+    .gz; an object with .read() is read; anything else, a str naming a
+    file included, is the document itself. Only event concept:name
+    attributes are read; trace ids follow document order.
     """
     import gzip  # imported here, as in save_log: only XES paths need these
     from xml.etree import ElementTree
 
-    if _names_file(source):
-        path = Path(source)
-        opener = gzip.open if path.name.endswith(".gz") else open
-        with opener(path, "rb") as fh:
+    if isinstance(source, os.PathLike):
+        opener = gzip.open if os.fspath(source).endswith(".gz") else open
+        with opener(source, "rb") as fh:
             data = fh.read()
     elif hasattr(source, "read"):
         data = source.read()
@@ -427,14 +422,16 @@ def write_xes(log: EventLog) -> str:
 # CSV
 
 def parse_csv(source) -> EventLog:
-    """Parse case_id/activity[/position] rows.
+    """Parse case_id/activity[/position] rows from a path, file object, or text.
 
+    An os.PathLike is read as a file; an object with .read() is read;
+    anything else, a str naming a file included, is the document itself.
     Rows are grouped by case id; numeric ids are kept, otherwise ids
     become 0.. in first-appearance order. With a position column, rows
     may arrive shuffled and are ordered by their positions, which must
     not repeat within a case.
     """
-    if _names_file(source):
+    if isinstance(source, os.PathLike):
         source = _read_text(source)
     elif hasattr(source, "read"):
         source = source.read()

@@ -46,7 +46,7 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class _Unary(Formula):
     __slots__ = ("arg",)
     arg: Formula
 
@@ -55,123 +55,85 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    left: Formula
+    right: Formula
+
+    def children(self) -> tuple[Formula, ...]:
+        return (self.left, self.right)
+
+
+@dataclass(frozen=True)
+class _Nary(Formula):
+    __slots__ = ("args",)
+    args: tuple[Formula, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.args) < 2:
+            raise ValueError(f"{type(self).__name__} needs at least two operands")
+
+    def children(self) -> tuple[Formula, ...]:
+        return self.args
+
+
+# The operators add no fields to their arity's dataclass. Its generated
+# __eq__ still requires the same class, and __repr__ names the subclass.
+
+class Not(_Unary):
+    __slots__ = ()
+
+
+class And(_Nary):
     """N-ary conjunction; the operand tuple always has at least two entries."""
 
-    __slots__ = ("args",)
-    args: tuple[Formula, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.args) < 2:
-            raise ValueError("And needs at least two operands")
-
-    def children(self) -> tuple[Formula, ...]:
-        return self.args
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    __slots__ = ("args",)
-    args: tuple[Formula, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.args) < 2:
-            raise ValueError("Or needs at least two operands")
-
-    def children(self) -> tuple[Formula, ...]:
-        return self.args
+class Or(_Nary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.left, self.right)
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.left, self.right)
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
+class Next(_Unary):
     """Strong next: requires a successor position."""
 
-    __slots__ = ("arg",)
-    arg: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.arg,)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeakNext(Formula):
+class WeakNext(_Unary):
     """Weak next: vacuously true at the last position."""
 
-    __slots__ = ("arg",)
-    arg: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.arg,)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.left, self.right)
+class Until(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.left, self.right)
+class Release(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeakUntil(Formula):
+class WeakUntil(_Binary):
     """left W right, equivalent to G(left) | (left U right)."""
 
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.left, self.right)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    __slots__ = ("arg",)
-    arg: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.arg,)
+class Eventually(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Globally(Formula):
-    __slots__ = ("arg",)
-    arg: Formula
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.arg,)
+class Globally(_Unary):
+    __slots__ = ()
 
 
 TRUE = TrueConst()
@@ -591,49 +553,15 @@ def _nnf(f: Formula, positive: bool) -> Formula:
 # So U is the carry vector (a + r) ^ a ^ r, shifted down to the bit that
 # received it. W also holds past the last position: a carry-in of 1.
 
-_OP_TRUE = 0
-_OP_FALSE = 1
-_OP_ATOM = 2
-_OP_NOT = 3
-_OP_AND = 4
-_OP_OR = 5
-_OP_IMPLIES = 6
-_OP_IFF = 7
-_OP_NEXT = 8
-_OP_WEAK_NEXT = 9
-_OP_UNTIL = 10
-_OP_RELEASE = 11
-_OP_WEAK_UNTIL = 12
-_OP_EVENTUALLY = 13
-_OP_GLOBALLY = 14
-
-_STEP_OPS: dict[type, int] = {
-    TrueConst: _OP_TRUE,
-    FalseConst: _OP_FALSE,
-    Atom: _OP_ATOM,
-    Not: _OP_NOT,
-    And: _OP_AND,
-    Or: _OP_OR,
-    Implies: _OP_IMPLIES,
-    Iff: _OP_IFF,
-    Next: _OP_NEXT,
-    WeakNext: _OP_WEAK_NEXT,
-    Until: _OP_UNTIL,
-    Release: _OP_RELEASE,
-    WeakUntil: _OP_WEAK_UNTIL,
-    Eventually: _OP_EVENTUALLY,
-    Globally: _OP_GLOBALLY,
-}
-
 @lru_cache(maxsize=4096)
-def _plan(f: Formula) -> tuple[tuple[tuple[int, tuple[int, ...], Activity | None], ...], tuple[int, ...]]:
+def _plan(f: Formula) -> tuple[tuple[tuple[type, tuple[int, ...], Activity | None], ...], tuple[int, ...]]:
     """Compile a formula to postorder evaluation steps, one per distinct node.
 
-    Returns (steps, slots): step k is (opcode, child slots, atom), and
+    Returns (steps, slots): step k is (node class, child slots, atom), and
     slots[i] is the step computing the node with preorder id i. Equal
     subformulas share a step; the root's step comes last.
     """
-    steps: list[tuple[int, tuple[int, ...], Activity | None]] = []
+    steps: list[tuple[type, tuple[int, ...], Activity | None]] = []
     step_of: dict[Formula, int] = {}
     slots: list[int] = []
 
@@ -645,7 +573,7 @@ def _plan(f: Formula) -> tuple[tuple[tuple[int, tuple[int, ...], Activity | None
         if slot is None:
             slot = step_of[node] = len(steps)
             atom = node.activity if isinstance(node, Atom) else None
-            steps.append((_STEP_OPS[type(node)], kids, atom))
+            steps.append((type(node), kids, atom))
         slots[pre] = slot
         return slot
 
@@ -657,9 +585,9 @@ def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
     """Per-step masks over a trace of n > 0 events with position index `index`."""
     full = (1 << n) - 1
     masks: list[int] = []
-    # Opcodes are tested roughly in order of how often templates use them.
+    # Node classes are tested roughly in order of how often templates use them.
     for op, kids, atom in steps:
-        if op == _OP_ATOM:
+        if op is Atom:
             # Position t is digit t of an n-digit binary string: one linear
             # pass (int() in base 2 has no digit limit), where setting bits
             # one by one would copy the mask once per occurrence.
@@ -667,48 +595,48 @@ def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
             for t in index.get(atom, ()):
                 digits[t] = 49  # ord("1")
             m = int(digits, 2)
-        elif op == _OP_NOT:
+        elif op is Not:
             m = full ^ masks[kids[0]]
-        elif op == _OP_AND:
+        elif op is And:
             m = full
             for k in kids:
                 m &= masks[k]
-        elif op == _OP_OR:
+        elif op is Or:
             m = 0
             for k in kids:
                 m |= masks[k]
-        elif op == _OP_IMPLIES:
+        elif op is Implies:
             m = (full ^ masks[kids[0]]) | masks[kids[1]]
-        elif op == _OP_IFF:
+        elif op is Iff:
             m = full ^ masks[kids[0]] ^ masks[kids[1]]
-        elif op == _OP_NEXT:
+        elif op is Next:
             m = (masks[kids[0]] << 1) & full
-        elif op == _OP_WEAK_NEXT:
+        elif op is WeakNext:
             m = ((masks[kids[0]] << 1) & full) | 1
-        elif op == _OP_EVENTUALLY:
+        elif op is Eventually:
             c = masks[kids[0]]
             m = full & ~((c & -c) - 1)
-        elif op == _OP_GLOBALLY:
+        elif op is Globally:
             c = full ^ masks[kids[0]]
             m = ((c & -c) - 1) & full
-        elif op == _OP_UNTIL:
+        elif op is Until:
             r = masks[kids[1]]
             a = masks[kids[0]] | r
             m = ((a + r) ^ a ^ r) >> 1
-        elif op == _OP_WEAK_UNTIL:
+        elif op is WeakUntil:
             r = masks[kids[1]]
             a = masks[kids[0]] | r
             m = ((a + r + 1) ^ a ^ r) >> 1
-        elif op == _OP_RELEASE:
+        elif op is Release:
             r = full ^ masks[kids[1]]
             a = (full ^ masks[kids[0]]) | r
             m = full ^ (((a + r) ^ a ^ r) >> 1)
-        elif op == _OP_TRUE:
+        elif op is TrueConst:
             m = full
-        elif op == _OP_FALSE:
+        elif op is FalseConst:
             m = 0
         else:
-            raise AssertionError(f"unknown opcode {op}")
+            raise AssertionError(f"no mask rule for {op.__name__}")
         masks.append(m)
     return masks
 

@@ -84,6 +84,32 @@ def test_minimize_is_idempotent():
         assert minimize(dfa) == dfa
 
 
+def _breadth_first_order(dfa):
+    """States in the order a breadth-first walk from state 0 visits them,
+    taking each state's columns in order."""
+    order, seen = [0], {0}
+    for s in order:
+        for t in dfa.moves[s]:
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order
+
+
+def test_minimize_numbers_states_breadth_first():
+    kinds = list(TemplateKind)
+    dfas = []
+    for kind in kinds:
+        for act, tgt in ((A, B), (A, A)):
+            dfa = template_dfa(kind, act, tgt)
+            dfas += [dfa, minimize(complement(dfa))]
+    for kind, other in zip(kinds, kinds[1:] + kinds[:1]):
+        dfas.append(minimize(product(template_dfa(kind, A, B), template_dfa(other, A, B))))
+    for dfa in dfas:
+        assert dfa.initial == 0
+        assert _breadth_first_order(dfa) == list(range(dfa.n_states))
+
+
 def test_minimize_preserves_language():
     f = parse_formula("G(a -> X(!a U b)) & F b")
     raw = compile_formula(f)

@@ -265,6 +265,24 @@ def test_xes_wrong_root_rejected():
         parse_xes("<notes></notes>")
 
 
+def test_parsers_read_paths_and_file_objects_and_take_str_as_text(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        parse_xes(tmp_path / "missing.xes")
+    with pytest.raises(FileNotFoundError):
+        parse_csv(tmp_path / "missing.csv")
+    log = _log("abc", "ba")
+    path = tmp_path / "log.csv"
+    save_log(log, path)
+    assert parse_csv(path) == load_log(path) == log
+    with path.open(encoding="utf-8", newline="") as fh:
+        assert parse_csv(fh) == log
+    # A str is the document itself, even when it names an existing file.
+    with pytest.raises(IngestError, match="header"):
+        parse_csv(str(path))
+    with pytest.raises(IngestError, match="malformed XES"):
+        parse_xes(str(path))
+
+
 # --------------------------------------------------------------------------
 # CSV
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the formula layer: parsing, printing, semantics, normal form."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -33,7 +34,9 @@ from declarekit.ltlf import (
     Next,
     Not,
     Or,
+    Release,
     Until,
+    WeakNext,
     WeakUntil,
     subformulas,
 )
@@ -41,6 +44,50 @@ from declarekit.ltlf import (
 from oracles import _sat, all_traces, naive_eval
 
 A, B, C = Activity("a"), Activity("b"), Activity("c")
+
+
+# --------------------------------------------------------------------------
+# Node classes
+# --------------------------------------------------------------------------
+
+def test_nodes_of_one_arity_differ_by_class():
+    x, y = Atom(A), Atom(B)
+    assert Not(x) != Next(x)
+    assert Until(x, y) != WeakUntil(x, y)
+    assert And((x, y)) != Or((x, y))
+    assert Until(x, y) == Until(Atom(A), Atom(B))
+
+
+def test_equal_nodes_hash_equal():
+    f = parse_formula("G(a -> X(!a U b)) & (a R b) & Xw F a")
+    g = parse_formula("G(a -> X(!a U b)) & (a R b) & Xw F a")
+    assert f == g and f is not g
+    assert hash(f) == hash(g)
+    assert {f: 1}[g] == 1
+
+
+def test_nodes_are_frozen_and_slotted():
+    x = Atom(A)
+    for node in (Not(x), Next(x), Until(x, x), Release(x, x), And((x, x)), Or((x, x))):
+        field = dataclasses.fields(node)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, x)
+        assert not hasattr(node, "__dict__")
+
+
+def test_nary_nodes_need_two_operands():
+    with pytest.raises(ValueError, match="And needs at least two operands"):
+        And((Atom(A),))
+    with pytest.raises(ValueError, match="Or needs at least two operands"):
+        Or(())
+
+
+def test_node_repr_names_the_class():
+    x = Atom(A)
+    assert repr(Not(x)).startswith("Not(arg=Atom(")
+    assert repr(WeakNext(x)).startswith("WeakNext(arg=")
+    assert repr(WeakUntil(x, x)).startswith("WeakUntil(left=")
+    assert repr(And((x, x))).startswith("And(args=(")
 
 
 # --------------------------------------------------------------------------
