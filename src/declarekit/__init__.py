@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "automata": (
         "Dfa", "OTHER", "StateBudgetExceeded", "compile_formula", "complement",
-        "minimize", "product", "run", "template_dfa", "to_dot", "to_facts_dict",
-        "to_facts_json",
+        "minimize", "product", "template_dfa", "to_dot", "to_facts_dict", "to_facts_json",
     ),
     "core": ("Activity", "Constraint", "DeclareModel", "EventLog", "TemplateKind", "Trace"),
     "direct": ("DirectVerdict", "check_direct"),

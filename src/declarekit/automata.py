@@ -3,18 +3,19 @@
 A formula over named activities induces a DFA whose alphabet is the set
 of named symbols plus one wildcard class standing for every other
 activity (at most one formula atom can hold at a position, so unnamed
-events are interchangeable). States are residual formulas produced by
-stepwise progression; a state accepts when its residual holds on the
-empty continuation.
+events are interchangeable). States are canonical residuals produced by
+stepwise progression: sets of alternatives, each a set of obligations. A
+state accepts when some alternative's obligations all hold on the empty
+continuation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .core import Activity, Trace, WILDCARD_LABEL
+from .core import Activity, WILDCARD_LABEL
 from .ltlf import (
     And,
     Atom,
@@ -40,14 +41,8 @@ from .ltlf import (
 
 
 class _OtherSymbol:
-    """Singleton transition class for activities outside the named set."""
-
-    _instance: "_OtherSymbol | None" = None
-
-    def __new__(cls) -> "_OtherSymbol":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Transition class for activities outside the named set; OTHER is its
+    one instance."""
 
     def __repr__(self) -> str:
         return "OTHER"
@@ -105,110 +100,88 @@ class Dfa:
         return state in self.accepting
 
 
-def run(dfa: Dfa, trace: Trace, named: tuple[Activity, ...] | None = None) -> bool:
-    """Replay a trace through the DFA; `named` defaults to the DFA's own set."""
-    if named is not None and tuple(named) != dfa.named:
-        raise ValueError("named symbols do not match the automaton alphabet")
-    return dfa.accepts(trace.events)
-
-
 # --------------------------------------------------------------------------
 # Progression
 #
-# _progress(f, sym) is the residual obligation after reading one event of
-# class `sym`, chosen so that for every continuation (empty included)
-# the continuation satisfies the residual exactly when sym followed by
-# the continuation satisfies f. Strong next must not become satisfiable
-# on the empty continuation, so it carries a "continuation is non-empty"
+# A residual is a set of alternatives, each a set of obligations: formulas
+# in negation normal form that are neither constants nor And/Or. It holds
+# when every obligation of some alternative holds, so the empty set is
+# false and the set of the empty alternative is true. An alternative that
+# demands a superset of another's obligations is dropped (absorption), so
+# residuals that differ only in how And and Or nest are equal sets.
+#
+# _progress(f, sym) is the residual after reading one event of class
+# `sym`, chosen so that for every continuation (empty included) the
+# continuation satisfies the residual exactly when sym followed by the
+# continuation satisfies f. Strong next must not become satisfiable on
+# the empty continuation, so it carries a "continuation is non-empty"
 # marker (F true); weak next dually carries "continuation is empty"
 # (G false). Both markers vanish under minimization.
 
-_NONEMPTY = Eventually(TRUE)
-_EMPTY = Globally(FALSE)
+Residual = frozenset[frozenset[Formula]]
+
+_TRUE: Residual = frozenset({frozenset()})
+_FALSE: Residual = frozenset()
+_NONEMPTY: Residual = frozenset({frozenset({Eventually(TRUE)})})
+_EMPTY: Residual = frozenset({frozenset({Globally(FALSE)})})
 
 
-def _progress(f: Formula, sym: SymbolClass) -> Formula:
+def _absorb(alternatives) -> Residual:
+    """The alternatives that contain no other alternative."""
+    kept: list[frozenset[Formula]] = []
+    for alt in sorted(set(alternatives), key=len):
+        if not any(k <= alt for k in kept):
+            kept.append(alt)
+    return frozenset(kept)
+
+
+def _and(x: Residual, y: Residual) -> Residual:
+    return _absorb(a | b for a in x for b in y)
+
+
+def _or(x: Residual, y: Residual) -> Residual:
+    return _absorb(x | y)
+
+
+def _residual(f: Formula) -> Residual:
+    """A formula in negation normal form as a residual."""
+    if isinstance(f, TrueConst):
+        return _TRUE
+    if isinstance(f, FalseConst):
+        return _FALSE
+    if isinstance(f, And):
+        return reduce(_and, map(_residual, f.args))
+    if isinstance(f, Or):
+        return reduce(_or, map(_residual, f.args))
+    return frozenset({frozenset({f})})
+
+
+def _progress(f: Formula, sym: SymbolClass) -> Residual:
     """Progress a formula in negation normal form, as compile_formula
     feeds it: no -> or <->, and negation only on atoms."""
     if isinstance(f, (TrueConst, FalseConst)):
-        return f
+        return _residual(f)
     if isinstance(f, Atom):
-        return TRUE if f.activity is sym else FALSE
+        return _TRUE if f.activity is sym else _FALSE
     if isinstance(f, Not):
-        return Not(_progress(f.arg, sym))
+        return _FALSE if f.arg.activity is sym else _TRUE
     if isinstance(f, And):
-        return And(tuple(_progress(x, sym) for x in f.args))
+        return reduce(_and, (_progress(x, sym) for x in f.args))
     if isinstance(f, Or):
-        return Or(tuple(_progress(x, sym) for x in f.args))
+        return reduce(_or, (_progress(x, sym) for x in f.args))
     if isinstance(f, Next):
-        return And((f.arg, _NONEMPTY))
+        return _and(_residual(f.arg), _NONEMPTY)
     if isinstance(f, WeakNext):
-        return Or((f.arg, _EMPTY))
+        return _or(_residual(f.arg), _EMPTY)
     if isinstance(f, (Until, WeakUntil)):  # they differ only on the empty trace
-        return Or((_progress(f.right, sym), And((_progress(f.left, sym), f))))
+        return _or(_progress(f.right, sym), _and(_progress(f.left, sym), _residual(f)))
     if isinstance(f, Release):
-        return And((_progress(f.right, sym), Or((_progress(f.left, sym), f))))
+        return _and(_progress(f.right, sym), _or(_progress(f.left, sym), _residual(f)))
     if isinstance(f, Eventually):
-        return Or((_progress(f.arg, sym), f))
+        return _or(_progress(f.arg, sym), _residual(f))
     if isinstance(f, Globally):
-        return And((_progress(f.arg, sym), f))
+        return _and(_progress(f.arg, sym), _residual(f))
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def _simplify(f: Formula) -> Formula:
-    """Canonical form: fold constants, flatten/sort/dedupe And and Or.
-
-    Its input is a formula in negation normal form or a progression of
-    one, so a negation wraps an atom or, once progressed, a constant.
-    """
-    if isinstance(f, Not):
-        arg = _simplify(f.arg)
-        if isinstance(arg, TrueConst):
-            return FALSE
-        if isinstance(arg, FalseConst):
-            return TRUE
-        return Not(arg)
-    if isinstance(f, And):
-        flat: list[Formula] = []
-        for x in f.args:
-            x = _simplify(x)
-            if isinstance(x, FalseConst):
-                return FALSE
-            if isinstance(x, TrueConst):
-                continue
-            flat.extend(x.args if isinstance(x, And) else (x,))
-        uniq = sorted(set(flat), key=pretty)
-        if not uniq:
-            return TRUE
-        return uniq[0] if len(uniq) == 1 else And(tuple(uniq))
-    if isinstance(f, Or):
-        flat = []
-        for x in f.args:
-            x = _simplify(x)
-            if isinstance(x, TrueConst):
-                return TRUE
-            if isinstance(x, FalseConst):
-                continue
-            flat.extend(x.args if isinstance(x, Or) else (x,))
-        uniq = sorted(set(flat), key=pretty)
-        if not uniq:
-            return FALSE
-        return uniq[0] if len(uniq) == 1 else Or(tuple(uniq))
-    if isinstance(f, Next):
-        arg = _simplify(f.arg)
-        return FALSE if isinstance(arg, FalseConst) else Next(arg)
-    if isinstance(f, WeakNext):
-        return WeakNext(_simplify(f.arg))
-    if isinstance(f, Eventually):
-        arg = _simplify(f.arg)
-        return FALSE if isinstance(arg, FalseConst) else Eventually(arg)
-    if isinstance(f, Globally):
-        arg = _simplify(f.arg)
-        return TRUE if isinstance(arg, TrueConst) else Globally(arg)
-    if isinstance(f, (Until, Release, WeakUntil)):
-        kind = type(f)
-        return kind(_simplify(f.left), _simplify(f.right))
-    return f
 
 
 def compile_formula(f: Formula, *, state_budget: int = 4096) -> Dfa:
@@ -219,12 +192,12 @@ def compile_formula(f: Formula, *, state_budget: int = 4096) -> Dfa:
     is 0 and numbering is reproducible. Raises StateBudgetExceeded when
     more than `state_budget` states appear.
     """
-    start = _simplify(nnf(f))
+    start = _residual(nnf(f))
     named = atoms(f)
     symbols: tuple[SymbolClass, ...] = named + (OTHER,)
 
-    state_ids: dict[Formula, int] = {start: 0}
-    worklist: list[Formula] = [start]
+    state_ids: dict[Residual, int] = {start: 0}
+    worklist: list[Residual] = [start]
     rows: list[tuple[int, ...]] = []
     i = 0
     while i < len(worklist):
@@ -232,7 +205,9 @@ def compile_formula(f: Formula, *, state_budget: int = 4096) -> Dfa:
         i += 1
         row = []
         for sym in symbols:
-            succ = _simplify(_progress(state, sym))
+            succ = _FALSE
+            for alt in state:
+                succ = _or(succ, reduce(_and, (_progress(x, sym) for x in alt), _TRUE))
             nxt = state_ids.get(succ)
             if nxt is None:
                 nxt = len(worklist)
@@ -245,7 +220,9 @@ def compile_formula(f: Formula, *, state_budget: int = 4096) -> Dfa:
             row.append(nxt)
         rows.append(tuple(row))
 
-    accepting = frozenset(i for s, i in state_ids.items() if ev_empty(s))
+    accepting = frozenset(
+        i for s, i in state_ids.items() if any(all(map(ev_empty, alt)) for alt in s)
+    )
     return Dfa(named=named, moves=tuple(rows), initial=0, accepting=accepting)
 
 
@@ -315,8 +292,8 @@ def complement(dfa: Dfa) -> Dfa:
     return Dfa(named=dfa.named, moves=dfa.moves, initial=dfa.initial, accepting=rejected)
 
 
-def product(left: Dfa, right: Dfa, combine=lambda a, b: a and b) -> Dfa:
-    """Synchronous product over a shared alphabet; acceptance via `combine`."""
+def product(left: Dfa, right: Dfa) -> Dfa:
+    """Synchronous product over a shared alphabet: the intersection."""
     if left.named != right.named:
         raise ValueError("product requires identical named symbol tuples")
     width = len(left.named) + 1
@@ -339,7 +316,7 @@ def product(left: Dfa, right: Dfa, combine=lambda a, b: a and b) -> Dfa:
             row.append(nxt)
         rows.append(tuple(row))
     accepting = frozenset(
-        i for (l, r), i in ids.items() if combine(l in left.accepting, r in right.accepting)
+        i for (l, r), i in ids.items() if l in left.accepting and r in right.accepting
     )
     return Dfa(named=left.named, moves=tuple(rows), initial=0, accepting=accepting)
 

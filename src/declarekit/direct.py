@@ -26,7 +26,6 @@ REPEATED_TARGET_WITHOUT_ACTIVATION = "repeated_target_without_activation"
 TARGET_WITHOUT_ALTERNATING_ACTIVATION = "target_without_alternating_activation"
 TARGET_NOT_PRECEDED_BY_ACTIVATION = "target_not_preceded_by_activation"
 TARGET_AT_START = "target_at_start"
-TRACE_ENDS_WITH_TARGET = "trace_ends_with_target"
 NO_ALTERNATIVE_OCCURRED = "no_alternative_occurred"
 BOTH_ALTERNATIVES_OCCURRED = "both_alternatives_occurred"
 OCCURS_WITHOUT_COUNTERPART = "occurs_without_counterpart"
@@ -260,17 +259,13 @@ def check_direct(
     constraint: Constraint,
     trace: Trace,
     *,
-    include_last_target_rule: bool = False,
     index: PositionIndex | None = None,
 ) -> DirectVerdict:
     """Evaluate one constraint on one trace by positional rules.
 
-    `include_last_target_rule` enables a stricter AlternateSuccession
-    reading under which a trace ending with the target is rejected; it is
-    off by default because the default semantics match the other two
-    backends exactly. `index` is the trace's `index_positions`, shared by
-    callers that check many constraints on one trace; without it the
-    index is built here, in one pass over the events.
+    `index` is the trace's `index_positions`, shared by callers that
+    check many constraints on one trace; without it the index is built
+    here, in one pass over the events.
     """
     events = trace.events
     kind = constraint.kind
@@ -292,8 +287,6 @@ def check_direct(
     steps = 0
     for rule in rules:
         steps += rule(events, act, tgt, act_pos, tgt_pos, failures, witnesses)
-    if include_last_target_rule and kind is _K.ALTERNATE_SUCCESSION and events[-1] is tgt:
-        failures.append((len(events) - 1, TRACE_ENDS_WITH_TARGET))
 
     if len(failures) > 1:
         # Whole-trace (None) failures come alone, so these are (position, tag) pairs.

@@ -10,7 +10,7 @@ trace is handled by a structural valuation (`ev_empty`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -27,6 +27,11 @@ class Formula:
 
     def __str__(self) -> str:
         return pretty(self)
+
+    def __reduce__(self):
+        # Rebuild through the constructor: restoring the hand-written slots
+        # one by one would go through the frozen dataclass's __setattr__.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from declarekit.direct import (
     OCCURS_WITHOUT_COUNTERPART,
     TARGET_AT_START,
     TARGET_BEFORE_ACTIVATION,
-    TRACE_ENDS_WITH_TARGET,
     direct_checker,
 )
 
@@ -155,17 +154,6 @@ def test_reflexive_response_uses_strict_future():
     assert not check_direct(con, Trace.from_labels(0, "a")).sat
     assert check_direct(con, Trace.from_labels(0, "")).sat
     assert eval_tree(template_formula(TemplateKind.RESPONSE, A, A), Trace.from_labels(0, "a"))
-
-
-def test_alternate_succession_compat_flag_adds_final_target_rule():
-    """TRACE_ENDS_WITH_TARGET only fires under the opt-in flag."""
-    con = _con(TemplateKind.ALTERNATE_SUCCESSION)
-    trace = Trace.from_labels(0, "ab")
-    default = check_direct(con, trace)
-    assert default.sat
-    strict = check_direct(con, trace, include_last_target_rule=True)
-    assert not strict.sat
-    assert (1, TRACE_ENDS_WITH_TARGET) in strict.failures
 
 
 def test_step_counter_is_near_linear():

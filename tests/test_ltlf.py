@@ -1,7 +1,9 @@
 """Tests for the formula layer: parsing, printing, semantics, normal form."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 import time
 
@@ -26,10 +28,13 @@ from declarekit import (
     template_formula,
 )
 from declarekit.ltlf import (
+    FALSE,
+    TRUE,
     And,
     Atom,
     Eventually,
     Globally,
+    Iff,
     Implies,
     Next,
     Not,
@@ -80,6 +85,23 @@ def test_nary_nodes_need_two_operands():
         And((Atom(A),))
     with pytest.raises(ValueError, match="Or needs at least two operands"):
         Or(())
+
+
+def test_every_node_class_pickles_and_deep_copies():
+    x, y = Atom(A), Atom(B)
+    nodes = [
+        x, TRUE, FALSE, Not(x), And((x, y, TRUE)), Or((x, FALSE)), Implies(x, y),
+        Iff(x, y), Next(x), WeakNext(x), Until(x, y), Release(x, y), WeakUntil(x, y),
+        Eventually(x), Globally(x), parse_formula("G(a -> F b) & (Xw c | !(a U b))"),
+    ]
+    for node in nodes:
+        copies = [copy.deepcopy(node)] + [
+            pickle.loads(pickle.dumps(node, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in copies:
+            assert type(twin) is type(node)
+            assert twin == node and hash(twin) == hash(node), repr(node)
 
 
 def test_node_repr_names_the_class():
