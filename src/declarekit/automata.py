@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from typing import Sequence
 
 from .core import Activity, WILDCARD_LABEL
 from .ltlf import (
@@ -71,8 +72,10 @@ class Dfa:
     moves: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
-    # Column of each named activity, built once rather than per `accepts`.
+    # Column of each named activity and each state's wildcard successor,
+    # built once rather than per `accepts`.
     _columns: dict[Activity, int] = field(init=False, repr=False, compare=False)
+    _wild: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_columns", {a: i for i, a in enumerate(self.named)})
@@ -85,18 +88,45 @@ class Dfa:
             raise ValueError("initial state out of range")
         if any(not (0 <= s < n) for s in self.accepting):
             raise ValueError("accepting state out of range")
+        object.__setattr__(self, "_wild", tuple(row[-1] for row in self.moves))
 
     @property
     def n_states(self) -> int:
         return len(self.moves)
 
-    def accepts(self, events: tuple[Activity, ...]) -> bool:
+    def accepts(
+        self, events: tuple[Activity, ...], positions: Sequence[int] | None = None
+    ) -> bool:
+        """Whether the DFA accepts the trace `events`.
+
+        `positions`, when given, holds in ascending order the positions of
+        the events whose activity is in `named`, and only those events are
+        read. A run of g other events between them follows the wildcard
+        column for g steps or until it reaches a state it does not leave,
+        whichever comes first. Minimal LTLf automata are counter-free, so
+        such a run settles within `n_states` steps.
+        """
         columns = self._columns
-        other = len(self.named)
-        state = self.initial
         moves = self.moves
-        for ev in events:
-            state = moves[state][columns.get(ev, other)]
+        state = self.initial
+        if positions is None:
+            other = len(self.named)
+            for ev in events:
+                state = moves[state][columns.get(ev, other)]
+            return state in self.accepting
+        wild = self._wild
+        last = -1
+        for p in positions:
+            gap = p - last - 1
+            while gap and wild[state] != state:
+                state = wild[state]
+                gap -= 1
+            state = moves[state][columns[events[p]]]
+            last = p
+        gap = len(events) - last - 1
+        while gap and wild[state] != state:
+            state = wild[state]
+            gap -= 1
         return state in self.accepting
 
 

@@ -90,6 +90,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _bind(text: str) -> tuple[str, str]:
     slot, sep, value = text.partition("=")
     if not sep or slot not in ("arg_0", "arg_1") or not value:
@@ -129,8 +139,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--facts-json", help="write fact-style JSON; - for stdout")
 
     p = sub.add_parser("validate", help="cross-check the three backends")
-    p.add_argument("--max-len", type=int, default=10)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--max-len", type=_count, default=10)
+    p.add_argument("--samples", type=_count, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write disagreements as JSON")
 

@@ -111,6 +111,11 @@ def index_positions(events: tuple[Activity, ...]) -> PositionIndex:
     return index
 
 
+def named_positions(index: PositionIndex, activities: tuple[Activity, ...]) -> list[int]:
+    """Ascending positions of the events of `activities` in an indexed trace."""
+    return sorted([t for a in activities for t in index.get(a, ())])
+
+
 class EventLog:
     """An ordered collection of traces with unique ids.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import Activity, PositionIndex, TemplateKind, Trace, index_positions
 
@@ -558,22 +558,26 @@ def _nnf(f: Formula, positive: bool) -> Formula:
 # So U is the carry vector (a + r) ^ a ^ r, shifted down to the bit that
 # received it. W also holds past the last position: a carry-in of 1.
 
+# One evaluation step: (node class, child steps, atom or None).
+_Step = tuple[type, tuple[int, ...], Activity | None]
+
+
 @lru_cache(maxsize=4096)
-def _plan(f: Formula) -> tuple[tuple[tuple[type, tuple[int, ...], Activity | None], ...], tuple[int, ...]]:
-    """Compile a formula to postorder evaluation steps, one per distinct node.
+def _plan(formulas: tuple[Formula, ...]) -> tuple[tuple[_Step, ...], tuple[tuple[int, ...], ...]]:
+    """Compile formulas to one list of postorder steps, one per distinct node.
 
-    Returns (steps, slots): step k is (node class, child slots, atom), and
-    slots[i] is the step computing the node with preorder id i. Equal
-    subformulas share a step; the root's step comes last.
+    Returns (steps, slots): step k is (node class, child steps, atom), and
+    slots[j][i] is the step computing the node with preorder id i of
+    formulas[j], so slots[j][0] is formula j's root. Equal subformulas,
+    within one formula or across several, share a step.
     """
-    steps: list[tuple[type, tuple[int, ...], Activity | None]] = []
+    steps: list[_Step] = []
     step_of: dict[Formula, int] = {}
-    slots: list[int] = []
 
-    def walk(node: Formula) -> int:
+    def walk(node: Formula, slots: list[int]) -> int:
         pre = len(slots)
         slots.append(-1)
-        kids = tuple(walk(c) for c in node.children())
+        kids = tuple(walk(c, slots) for c in node.children())
         slot = step_of.get(node)
         if slot is None:
             slot = step_of[node] = len(steps)
@@ -582,8 +586,12 @@ def _plan(f: Formula) -> tuple[tuple[tuple[type, tuple[int, ...], Activity | Non
         slots[pre] = slot
         return slot
 
-    walk(f)
-    return tuple(steps), tuple(slots)
+    all_slots = []
+    for f in formulas:
+        slots: list[int] = []
+        walk(f, slots)
+        all_slots.append(tuple(slots))
+    return tuple(steps), tuple(all_slots)
 
 
 def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
@@ -646,35 +654,29 @@ def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
     return masks
 
 
-def tree_checker(f: Formula) -> Callable[..., bool]:
-    """Resolve f's evaluation plan once; `holds(trace, index=None)` is eval_tree.
-
-    `index` is the trace's `index_positions`, shared by callers that
-    evaluate many formulas on one trace; without it, holds builds it.
+def tree_row_checker(formulas: Iterable[Formula]) -> Callable[[Trace, PositionIndex], list[bool]]:
+    """Resolve one shared plan for all formulas; `row(trace, index)` is
+    `[eval_tree(f, trace) for f in formulas]` on a trace whose
+    `index_positions` is `index`, from one mask evaluation.
     """
-    steps, _ = _plan(f)
-    empty = ev_empty(f)
+    formulas = tuple(formulas)
+    steps, slots = _plan(formulas)
+    roots = [s[0] for s in slots]
 
-    def holds(trace: Trace, index: PositionIndex | None = None) -> bool:
+    def row(trace: Trace, index: PositionIndex) -> list[bool]:
         events = trace.events
         if not events:
-            return empty
-        if index is None:
-            index = index_positions(events)
-        n = len(events)
-        return bool(_eval_masks(steps, n, index)[-1] >> (n - 1))
+            return [ev_empty(f) for f in formulas]
+        masks = _eval_masks(steps, len(events), index)
+        top = len(events) - 1  # position 0
+        return [masks[r] >> top == 1 for r in roots]
 
-    return holds
+    return row
 
 
 def eval_tree(f: Formula, trace: Trace) -> bool:
     """Satisfaction of f at position 0, or ev_empty(f) on the empty trace."""
-    events = trace.events
-    if not events:
-        return ev_empty(f)
-    n = len(events)
-    steps, _ = _plan(f)
-    return bool(_eval_masks(steps, n, index_positions(events))[-1] >> (n - 1))
+    return tree_row_checker((f,))(trace, index_positions(trace.events))[0]
 
 
 def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
@@ -687,7 +689,7 @@ def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
     if not events:
         return {}
     n = len(events)
-    steps, slots = _plan(f)
+    steps, (slots,) = _plan((f,))
     masks = _eval_masks(steps, n, index_positions(events))
     # Digit t of the n-digit binary string is bit n-1-t, that is position t.
     digits = [format(m, f"0{n}b") for m in masks]

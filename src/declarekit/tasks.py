@@ -13,12 +13,22 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .automata import template_dfa
-from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, index_positions
+from .core import (
+    Activity,
+    Constraint,
+    DeclareModel,
+    EventLog,
+    PositionIndex,
+    TemplateKind,
+    Trace,
+    index_positions,
+    named_positions,
+)
 from .direct import direct_checker
-from .ltlf import template_formula, tree_checker
+from .ltlf import template_formula, tree_row_checker
 
 
 class Backend(Enum):
@@ -42,19 +52,48 @@ class EmptyLogError(ValueError):
 
 
 def make_checker(constraint: Constraint, backend: Backend) -> Callable[..., bool]:
-    """Bind a constraint to one backend, precompiling what the backend needs.
+    """The one-constraint `make_row_checker`: `checker(trace, index=None)`.
 
-    Call it as `checker(trace, index=None)`, passing the trace's shared
-    `index_positions` when there is one; dfa ignores it, the others build it.
+    Pass the trace's shared `index_positions` when there is one; without
+    it, the checker builds it.
+    """
+    row = make_row_checker((constraint,), backend)
+
+    def holds(trace: Trace, index: PositionIndex | None = None) -> bool:
+        if index is None:
+            index = index_positions(trace.events)
+        return row(trace, index)[0]
+
+    return holds
+
+
+def make_row_checker(
+    constraints: Sequence[Constraint], backend: Backend
+) -> Callable[[Trace, PositionIndex], list[bool]]:
+    """Bind a model's constraints to one backend, sharing work across them.
+
+    `row(trace, index)` lists the verdicts of `constraints` in order on a
+    trace with `index_positions` `index`. tree evaluates one plan holding
+    each distinct subformula once; dfa merges the positions of each
+    distinct automaton alphabet once and walks only those positions.
     """
     if backend is Backend.DIRECT:
-        return direct_checker(constraint)
+        checkers = [direct_checker(c) for c in constraints]
+        return lambda trace, index: [fn(trace, index) for fn in checkers]
     if backend is Backend.TREE:
-        formula = template_formula(constraint.kind, constraint.activation, constraint.target)
-        return tree_checker(formula)
+        return tree_row_checker(
+            [template_formula(c.kind, c.activation, c.target) for c in constraints]
+        )
     if backend is Backend.DFA:
-        dfa = template_dfa(constraint.kind, constraint.activation, constraint.target)
-        return lambda trace, index=None: dfa.accepts(trace.events)
+        dfas = [template_dfa(c.kind, c.activation, c.target) for c in constraints]
+        alphabets = dict.fromkeys(dfa.named for dfa in dfas)
+
+        def row(trace: Trace, index: PositionIndex) -> list[bool]:
+            events = trace.events
+            positions = {named: named_positions(index, named) for named in alphabets}
+            return [dfa.accepts(events, positions[dfa.named]) for dfa in dfas]
+
+        return row
     raise ValueError(f"unhandled backend {backend!r}")
 
 
@@ -81,34 +120,31 @@ def conformance_check(
     backend: Backend = Backend.DIRECT,
 ) -> CheckReport:
     """Check every trace against every constraint, one trace at a time."""
-    checkers = [(c.id, make_checker(c, backend)) for c in model.constraints]
-    indexed = backend is not Backend.DFA
+    ids = [c.id for c in model.constraints]
+    row = make_row_checker(model.constraints, backend)
 
     matrix: dict[tuple[int, int], bool] = {}
     compliant = []
-    sat_counts = {cid: 0 for cid, _ in checkers}
+    sat_counts = [0] * len(ids)
     for trace in log.traces:
         # One position index per row, shared by its constraints and dropped with it.
-        index = index_positions(trace.events) if indexed else None
-        all_ok = True
-        for cid, fn in checkers:
-            ok = fn(trace, index)
-            matrix[(trace.id, cid)] = ok
+        verdicts = row(trace, index_positions(trace.events))
+        tid = trace.id
+        for i, ok in enumerate(verdicts):
+            matrix[(tid, ids[i])] = ok
             if ok:
-                sat_counts[cid] += 1
-            else:
-                all_ok = False
-        if all_ok:
-            compliant.append(trace.id)
+                sat_counts[i] += 1
+        if all(verdicts):
+            compliant.append(tid)
 
     n = len(log)
     supports = {
-        cid: (Fraction(sat_counts[cid], n) if n else Fraction(0)) for cid, _ in checkers
+        cid: (Fraction(count, n) if n else Fraction(0)) for cid, count in zip(ids, sat_counts)
     }
     return CheckReport(
         backend=backend,
         trace_ids=tuple(tr.id for tr in log.traces),
-        constraint_ids=tuple(cid for cid, _ in checkers),
+        constraint_ids=tuple(ids),
         matrix=matrix,
         compliant=frozenset(compliant),
         supports=supports,
@@ -221,10 +257,7 @@ def query_check(
     # They live for the whole query: about 64 bytes per event, less than
     # loading the log peaked at, where indexing per binding would repeat
     # the work once per binding.
-    if backend is Backend.DFA:
-        rows = [(trace, None) for trace in log.traces]
-    else:
-        rows = [(trace, index_positions(trace.events)) for trace in log.traces]
+    indexed = [(trace, index_positions(trace.events)) for trace in log.traces]
 
     for combo in itertools.product(*domains):
         binding = dict(zip(variables, combo))
@@ -232,16 +265,16 @@ def query_check(
         def fill(slot: Slot) -> Activity:
             return binding[slot] if isinstance(slot, Variable) else slot
 
-        checkers = [
-            make_checker(
-                Constraint(i, term.kind, fill(term.activation), fill(term.target)),
-                backend,
-            )
-            for i, term in enumerate(query.terms)
-        ]
+        row = make_row_checker(
+            [
+                Constraint(i, term.kind, fill(term.activation), fill(term.target))
+                for i, term in enumerate(query.terms)
+            ],
+            backend,
+        )
         violations = 0
-        for trace, index in rows:
-            if not all(fn(trace, index) for fn in checkers):
+        for trace, index in indexed:
+            if not all(row(trace, index)):
                 violations += 1
                 if violations > max_violations:
                     break

@@ -13,11 +13,19 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
-from .core import Activity, Constraint, EventLog, TemplateKind, Trace, index_positions
+from .core import (
+    Activity,
+    Constraint,
+    EventLog,
+    PositionIndex,
+    TemplateKind,
+    Trace,
+    index_positions,
+)
 from .ingest import write_factlog
-from .tasks import Backend, make_checker
+from .tasks import Backend, make_row_checker
 
 ALL_KINDS: tuple[TemplateKind, ...] = tuple(TemplateKind)
 
@@ -40,26 +48,27 @@ class Disagreement:
         }
 
 
-# A template kind with its checkers in Backend order (direct, tree, dfa), compiled once.
-_Kit = tuple[TemplateKind, Callable[..., bool], Callable[..., bool], Callable[..., bool]]
+# One row checker per backend, in Backend order (direct, tree, dfa), each
+# holding one constraint over (a, b) per kind, compiled once.
+_Rows = list[Callable[[Trace, PositionIndex], list[bool]]]
 
 
-def _kits(kinds: Iterable[TemplateKind]) -> list[_Kit]:
+def _rows(kinds: tuple[TemplateKind, ...]) -> _Rows:
     act, tgt = Activity("a"), Activity("b")
-    kits: list[_Kit] = []
-    for kind in kinds:
-        constraint = Constraint(0, kind, act, tgt)
-        kits.append((kind, *(make_checker(constraint, b) for b in Backend)))
-    return kits
+    constraints = [Constraint(i, kind, act, tgt) for i, kind in enumerate(kinds)]
+    return [make_row_checker(constraints, b) for b in Backend]
 
 
-def _compare(events: tuple[Activity, ...], kits: Sequence[_Kit], out: list[Disagreement]) -> None:
+def _compare(
+    events: tuple[Activity, ...],
+    kinds: tuple[TemplateKind, ...],
+    rows: _Rows,
+    out: list[Disagreement],
+) -> None:
     trace = Trace(0, events)
     index = index_positions(events)
-    for kind, direct, tree, dfa in kits:
-        d = direct(trace, index)
-        t = tree(trace, index)
-        f = dfa(trace)
+    direct, tree, dfa = (row(trace, index) for row in rows)
+    for kind, d, t, f in zip(kinds, direct, tree, dfa):
         if d is not t or t is not f:
             out.append(
                 Disagreement(
@@ -79,14 +88,17 @@ def exhaustive_check(
 
     Traces are visited by length, then lexicographically in (a, b, w)
     order, so the disagreement list has a canonical order. max_len=0
-    checks only the empty trace.
+    checks only the empty trace; a negative max_len raises ValueError.
     """
-    kits = _kits(ALL_KINDS if kinds is None else kinds)
+    if max_len < 0:
+        raise ValueError(f"max_len must be 0 or more, got {max_len}")
+    kinds = ALL_KINDS if kinds is None else tuple(kinds)
+    rows = _rows(kinds)
     symbols = (Activity("a"), Activity("b"), Activity("w"))
     out: list[Disagreement] = []
     for length in range(max_len + 1):
         for events in itertools.product(symbols, repeat=length):
-            _compare(events, kits, out)
+            _compare(events, kinds, rows, out)
     return out
 
 
@@ -100,14 +112,17 @@ def random_check(
 
     Lengths are uniform on 0..max_len and symbols uniform, so longer
     traces than the exhaustive sweep can reach are still exercised
-    deterministically.
+    deterministically. Negative n_samples or max_len raise ValueError.
     """
-    kits = _kits(ALL_KINDS if kinds is None else kinds)
+    if n_samples < 0 or max_len < 0:
+        raise ValueError(f"n_samples and max_len must be 0 or more, got {n_samples}, {max_len}")
+    kinds = ALL_KINDS if kinds is None else tuple(kinds)
+    rows = _rows(kinds)
     symbols = (Activity("a"), Activity("b"), Activity("w"))
     rng = random.Random(seed)
     out: list[Disagreement] = []
     for _ in range(n_samples):
         length = rng.randint(0, max_len)
         events = tuple(rng.choice(symbols) for _ in range(length))
-        _compare(events, kits, out)
+        _compare(events, kinds, rows, out)
     return out

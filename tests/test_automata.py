@@ -131,6 +131,34 @@ def test_arbitrary_formulas_compile_to_their_language(f):
         assert dfa.accepts(tr.events) == naive_eval(f, tr), (pretty(f), tr.events)
 
 
+_ABC_BASES = tuple(tr.events for tr in all_traces(("a", "b", "c"), 2))
+
+
+@given(_any_formula)
+@example(parse_formula("X X a"))
+@example(parse_formula("G(a -> X b)"))
+@example(parse_formula("X(b U a) & Xw Xw !c"))
+@settings(max_examples=100, deadline=None)
+def test_walk_over_named_positions_matches_dense_walk(f):
+    """Runs of unnamed events longer than the automaton cross the wildcard
+    column whether or not it is a self-loop; events of atoms the formula
+    does not name are unnamed too."""
+    dfa = minimize(compile_formula(f, state_budget=64))
+    run = (Activity("w"),) * (dfa.n_states + 1)
+
+    def walks(events):
+        positions = [t for t, ev in enumerate(events) if ev in dfa.named]
+        got = dfa.accepts(events, positions)
+        assert got == dfa.accepts(events), (pretty(f), events)
+        return got
+
+    for base in _ABC_BASES:
+        for k in range(len(base) + 1):
+            events = base[:k] + run + base[k:]
+            assert walks(events) == naive_eval(f, Trace(0, events)), (pretty(f), events)
+        walks(run + tuple(x for ev in base for x in (ev, *run)))
+
+
 def test_minimize_preserves_language():
     f = parse_formula("G(a -> X(!a U b)) & F b")
     raw = compile_formula(f)

@@ -240,6 +240,14 @@ def test_validate_reports_zero_disagreements(workdir):
     assert "0 disagreements" in out.stdout
 
 
+@pytest.mark.parametrize("flag", ["--max-len", "--samples"])
+def test_validate_rejects_negative_counts(workdir, flag):
+    out = run_cli("validate", flag, "-1", cwd=workdir)
+    assert out.returncode == 3
+    assert flag in out.stderr and "0 or more" in out.stderr
+    assert out.stdout == ""
+
+
 def test_bench_writes_csv(workdir):
     out = run_cli(
         "bench", "--log", "log.lp", "--model", "model.lp",

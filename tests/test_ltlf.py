@@ -27,6 +27,7 @@ from declarekit import (
     pretty,
     template_formula,
 )
+from declarekit.core import index_positions
 from declarekit.ltlf import (
     FALSE,
     TRUE,
@@ -43,7 +44,9 @@ from declarekit.ltlf import (
     Until,
     WeakNext,
     WeakUntil,
+    _plan,
     subformulas,
+    tree_row_checker,
 )
 
 from oracles import _sat, all_traces, naive_eval
@@ -401,6 +404,35 @@ def test_eval_table_matches_naive_on_long_traces(monkeypatch):
                 cells += len(table)
                 assert eval_tree(f, trace) == table[(0, 0)]
     assert cells > 100_000
+
+
+def test_model_plan_has_one_step_per_distinct_subformula():
+    """One plan for 13 templates over three disjoint pairs: 102 steps where
+    the formulas planned one by one take 279, and one atom per activity."""
+    pairs = [(Activity(f"p{i}"), Activity(f"p{i + 1}")) for i in (0, 2, 4)]
+    formulas = tuple(template_formula(kind, a, b) for kind in TemplateKind for a, b in pairs)
+    steps, slots = _plan(formulas)
+    assert len(steps) == len({g for f in formulas for g in subformulas(f)}) == 102
+    assert sum(len(_plan((f,))[0]) for f in formulas) == 279
+    assert sorted(atom.label for op, _, atom in steps if op is Atom) == [
+        f"p{i}" for i in range(6)
+    ]
+    for f, preorder in zip(formulas, slots):
+        assert len(preorder) == len(subformulas(f))
+
+
+def test_equal_formulas_share_one_root():
+    response = template_formula(TemplateKind.RESPONSE, A, B)
+    succession = template_formula(TemplateKind.SUCCESSION, A, B)
+    steps, slots = _plan((response, succession, response))
+    assert len(steps) == len(_plan((succession,))[0])
+    assert slots[0][0] == slots[2][0]
+    # Succession's first conjunct is Response: its step is Response's root.
+    assert slots[1][1] == slots[0][0]
+    row = tree_row_checker((response, succession, response))
+    for trace in all_traces(("a", "b", "w"), 4):
+        want = [naive_eval(f, trace) for f in (response, succession, response)]
+        assert row(trace, index_positions(trace.events)) == want, trace.events
 
 
 def test_tree_alternate_succession_is_linear_in_trace_length():

@@ -294,7 +294,7 @@ def test_query_two_terms_match_formula_oracle(monkeypatch):
 
     Disjoint domains keep activation and target apart in both terms, where
     the backends agree. Each trace is indexed once for the whole query,
-    not once per binding and term, and dfa needs no index.
+    not once per binding and term, on every backend.
     """
     import random
 
@@ -343,7 +343,7 @@ def test_query_two_terms_match_formula_oracle(monkeypatch):
         calls.clear()
         got = query_check(query, log, threshold, backend)
         assert [(a.binding, a.support) for a in got] == want, backend
-        assert len(calls) == (0 if backend is Backend.DFA else len(log)), backend
+        assert len(calls) == len(log), backend
 
 
 def test_query_respects_explicit_domains():

@@ -2,14 +2,22 @@
 
 import json
 
+import pytest
+
 from declarekit import (
     Activity,
+    EventLog,
     TemplateKind,
     Trace,
     exhaustive_check,
+    parse_factlog,
     random_check,
+    template_formula,
 )
+from declarekit import direct
 from declarekit.xcheck import ALL_KINDS, Disagreement
+
+from oracles import all_traces, naive_eval
 
 
 def test_all_kinds_covers_every_template():
@@ -45,3 +53,35 @@ def test_disagreement_serializes():
     assert doc["verdicts"] == {"direct": True, "tree": False, "dfa": True}
     assert "trace(0,0,a)" in doc["factlog"]
     json.dumps(doc)  # stays JSON-encodable
+
+
+def test_negative_sizes_are_rejected():
+    with pytest.raises(ValueError):
+        exhaustive_check(max_len=-1)
+    with pytest.raises(ValueError):
+        random_check(n_samples=-5)
+    with pytest.raises(ValueError):
+        random_check(n_samples=1, max_len=-1)
+
+
+def test_planted_split_verdict_is_reported(monkeypatch):
+    """A direct Response rule that never fails splits direct from tree and
+    dfa on exactly the traces that violate Response, in canonical order."""
+
+    def never_fails(events, act, tgt, act_pos, tgt_pos, failures, witnesses):
+        return 0
+
+    monkeypatch.setitem(direct._RULES, TemplateKind.RESPONSE, (never_fails,))
+    out = exhaustive_check(max_len=4)
+
+    response = template_formula(TemplateKind.RESPONSE, Activity("a"), Activity("b"))
+    want = [tr.events for tr in all_traces(("a", "b", "w"), 4) if not naive_eval(response, tr)]
+    assert want
+    assert [d.trace.events for d in out] == want
+    rank = {Activity("a"): 0, Activity("b"): 1, Activity("w"): 2}
+    keys = [(len(d.trace), [rank[e] for e in d.trace.events]) for d in out]
+    assert keys == sorted(keys)
+    for d in out:
+        assert d.kind is TemplateKind.RESPONSE
+        assert d.verdicts == {"direct": True, "tree": False, "dfa": False}
+        assert parse_factlog(d.factlog) == EventLog([d.trace])
