@@ -15,37 +15,32 @@ import time
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .automata import compile_formula, minimize, to_dot, to_facts_json
 from .core import Activity, Constraint, TemplateKind
-from .ingest import (
-    IngestError,
-    load_log,
-    load_model,
-    load_query,
-    save_log,
-    write_factlog,
-    write_report,
-)
-from .ltlf import FormulaSyntaxError, parse_formula, pretty, template_formula
-from .tasks import (
-    Backend,
-    Query,
-    QueryTerm,
-    Variable,
-    conformance_check,
-    query_check,
-)
 
-# loggen and xcheck load on first use (PEP 562), so only generate and
-# validate pay for them. Commands reach these names through the module,
-# where they can be replaced like the names imported above; the
-# benchmark's span recorder (perfbench/traced.py) wraps them there.
+if TYPE_CHECKING:
+    from .tasks import Backend, Query
+
+# The other modules load on first use (PEP 562), so each command pays only
+# for the modules it runs: convert never loads a backend, and compile loads
+# no reader. Commands reach these names through the module, where they can
+# be replaced; the benchmark's span recorder (perfbench/traced.py) wraps
+# them there.
 _DEFERRED = {
-    "generate_log": "loggen",
-    "write_label_manifest": "loggen",
-    "exhaustive_check": "xcheck",
-    "random_check": "xcheck",
+    name: module
+    for module, names in {
+        "automata": ("compile_formula", "minimize", "to_dot", "to_facts_json"),
+        "ingest": (
+            "IngestError", "load_log", "load_model", "load_query", "save_log",
+            "write_factlog", "write_report",
+        ),
+        "loggen": ("generate_log", "write_label_manifest"),
+        "ltlf": ("FormulaSyntaxError", "parse_formula", "pretty", "template_formula"),
+        "tasks": ("Backend", "Query", "QueryTerm", "Variable", "conformance_check", "query_check"),
+        "xcheck": ("exhaustive_check", "random_check"),
+    }.items()
+    for name in names
 }
 
 
@@ -78,7 +73,7 @@ def _template_kind(name: str) -> TemplateKind:
 
 def _backend(name: str) -> Backend:
     try:
-        return Backend.from_name(name)
+        return _module.Backend.from_name(name)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -116,7 +111,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("check", help="conformance-check a log against a model")
     p.add_argument("--log", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--backend", type=_backend, default=Backend.DIRECT)
+    p.add_argument("--backend", type=_backend, default="direct")
     p.add_argument("--out", help="write a report file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -129,7 +124,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--domain", action="append", default=[],
                    help="restrict a variable, e.g. --domain arg_1=b,c")
     p.add_argument("--support", type=_fraction, required=True)
-    p.add_argument("--backend", type=_backend, default=Backend.DIRECT)
+    p.add_argument("--backend", type=_backend, default="direct")
     p.add_argument("--out", help="write answers as JSON")
 
     p = sub.add_parser("compile", help="compile a template or formula to a DFA")
@@ -175,13 +170,13 @@ def _emit(path: str, text: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    log = load_log(args.log)
-    model = load_model(args.model)
+    log = _module.load_log(args.log)
+    model = _module.load_model(args.model)
     started = time.perf_counter()
-    report = conformance_check(log, model, args.backend)
+    report = _module.conformance_check(log, model, args.backend)
     elapsed = time.perf_counter() - started
     if args.out:
-        data = write_report(report, args.format, log_name=args.log, model_name=args.model)
+        data = _module.write_report(report, args.format, log_name=args.log, model_name=args.model)
         Path(args.out).write_bytes(data)
     print(
         f"{len(report.compliant)}/{len(log)} constraints={len(model)} "
@@ -194,26 +189,26 @@ def _cli_query(args) -> Query:
     if bool(args.query) == bool(args.template):
         raise ValueError("query needs exactly one of --query or --template")
     if args.query:
-        return load_query(args.query)
+        return _module.load_query(args.query)
     slots = dict(args.bind)
     domains = {}
     for spec in args.domain:
         name, sep, values = spec.partition("=")
         if not sep or not values:
             raise ValueError(f"domains look like name=act1,act2, got {spec!r}")
-        domains[Variable(name)] = tuple(Activity(v) for v in values.split(","))
-    term = QueryTerm(
+        domains[_module.Variable(name)] = tuple(Activity(v) for v in values.split(","))
+    term = _module.QueryTerm(
         args.template,
-        Activity(slots["arg_0"]) if "arg_0" in slots else Variable("arg_0"),
-        Activity(slots["arg_1"]) if "arg_1" in slots else Variable("arg_1"),
+        Activity(slots["arg_0"]) if "arg_0" in slots else _module.Variable("arg_0"),
+        Activity(slots["arg_1"]) if "arg_1" in slots else _module.Variable("arg_1"),
     )
-    return Query(terms=(term,), domains=domains)
+    return _module.Query(terms=(term,), domains=domains)
 
 
 def _cmd_query(args) -> int:
-    log = load_log(args.log)
+    log = _module.load_log(args.log)
     query = _cli_query(args)
-    answers = query_check(query, log, args.support, args.backend)
+    answers = _module.query_check(query, log, args.support, args.backend)
     variables = query.variables()
     for ans in answers:
         parts = [f"?{v.name}={ans.binding[v].label}" for v in variables]
@@ -243,17 +238,19 @@ def _cmd_compile(args) -> int:
         raise ValueError("compile needs --dot and/or --facts-json")
     if args.template:
         activation, target = Activity("arg_0"), Activity("arg_1")
-        dfa = minimize(compile_formula(template_formula(args.template, activation, target)))
+        formula = _module.template_formula(args.template, activation, target)
+        dfa = _module.minimize(_module.compile_formula(formula))
         kind = args.template.camel
     else:
-        formula = parse_formula(args.formula)
-        dfa = minimize(compile_formula(formula))
+        formula = _module.parse_formula(args.formula)
+        dfa = _module.minimize(_module.compile_formula(formula))
         activation = target = None
-        kind = pretty(formula)
+        kind = _module.pretty(formula)
     if args.dot:
-        _emit(args.dot, to_dot(dfa, activation=activation, target=target))
+        _emit(args.dot, _module.to_dot(dfa, activation=activation, target=target))
     if args.facts_json:
-        _emit(args.facts_json, to_facts_json(dfa, kind, activation=activation, target=target))
+        facts = _module.to_facts_json(dfa, kind, activation=activation, target=target)
+        _emit(args.facts_json, facts)
     return 0
 
 
@@ -284,7 +281,7 @@ def _cmd_generate(args) -> int:
     target = Activity(slots.get("arg_1", "a_1"))
     constraint = Constraint(0, args.template, activation, target)
     generated = _module.generate_log(constraint, args.n, args.length, args.alphabet, args.seed)
-    Path(args.out).write_text(write_factlog(generated.log), encoding="utf-8")
+    Path(args.out).write_text(_module.write_factlog(generated.log), encoding="utf-8")
     manifest = Path(args.out).with_suffix("").as_posix() + ".labels.csv"
     Path(manifest).write_text(_module.write_label_manifest(generated), encoding="utf-8")
     print(
@@ -297,9 +294,9 @@ def _cmd_generate(args) -> int:
 def _cmd_bench(args) -> int:
     import statistics
 
-    log = load_log(args.log)
-    model = load_model(args.model)
-    backends = [Backend.from_name(b.strip()) for b in args.backends.split(",") if b.strip()]
+    log = _module.load_log(args.log)
+    model = _module.load_model(args.model)
+    backends = [_module.Backend.from_name(b.strip()) for b in args.backends.split(",") if b.strip()]
     if not backends:
         raise ValueError("no backends requested")
     if args.repeat < 1:
@@ -310,7 +307,7 @@ def _cmd_bench(args) -> int:
         timings = []
         for run in range(args.repeat):
             started = time.perf_counter()
-            conformance_check(log, model, backend)
+            _module.conformance_check(log, model, backend)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             timings.append(elapsed_ms)
             rows.append(f"{task},{backend.value},{run},{elapsed_ms:.3f}")
@@ -321,8 +318,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    log = load_log(args.src)
-    save_log(log, args.dst)
+    log = _module.load_log(args.src)
+    _module.save_log(log, args.dst)
     print(f"wrote {len(log)} traces to {args.dst}")
     return 0
 
@@ -346,7 +343,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"declarekit: {exc}", file=sys.stderr)
         return 2
-    except (IngestError, FormulaSyntaxError) as exc:
+    except (_module.IngestError, _module.FormulaSyntaxError) as exc:
         print(f"declarekit: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # GeneratorError included

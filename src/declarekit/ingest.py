@@ -18,9 +18,12 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, Trace
-from .tasks import CheckReport, Query, QueryTerm, Variable
+
+if TYPE_CHECKING:  # tasks loads every backend; only queries need it, at run time
+    from .tasks import CheckReport, Query, Variable
 
 
 class IngestError(ValueError):
@@ -41,10 +44,17 @@ class _Fact:
     line: int
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_QUOTED = r'"(?:[^"\\]|\\.)*"'
+_WS = r"(?:\s+|%[^\r\n]*)"
+_NAME_RE = re.compile(_NAME)
 _INT_RE = re.compile(r"-?\d+")
-_QUOTED_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
-_WS_RE = re.compile(r"(?:\s+|%[^\r\n]*)+")
+_QUOTED_RE = re.compile(_QUOTED)
+_WS_RE = re.compile(_WS + "+")
+# One trace/3 fact as write_factlog spells it, with the whitespace and
+# comments after it. The whitespace comes last so that a failed match never
+# backtracks through it.
+_TRACE_FACT_RE = re.compile(rf"trace\((\d+),(\d+),({_NAME}|{_QUOTED})\)\.{_WS}*")
 
 
 def _unescape(tok: str) -> str:
@@ -107,33 +117,37 @@ class _FactScanner:
             return ("ident", name)
         raise self.error("expected an argument")
 
+    def fact(self) -> _Fact:
+        """Read the fact that starts at the cursor."""
+        start = self.pos
+        m = _NAME_RE.match(self.text, self.pos)
+        if not m:
+            raise self.error(f"expected a fact name, found {self.text[self.pos]!r}")
+        name = m.group()
+        self.pos = m.end()
+        self.skip_ws()
+        self.expect("(")
+        args = []
+        while True:
+            self.skip_ws()
+            args.append(self.term())
+            self.skip_ws()
+            if self.pos < len(self.text) and self.text[self.pos] == ",":
+                self.pos += 1
+                continue
+            break
+        self.expect(")")
+        self.skip_ws()
+        self.expect(".")
+        return _Fact(name, tuple(args), self.line(start))
+
     def facts(self) -> list[_Fact]:
         out = []
         while True:
             self.skip_ws()
             if self.pos >= len(self.text):
                 return out
-            start = self.pos
-            m = _NAME_RE.match(self.text, self.pos)
-            if not m:
-                raise self.error(f"expected a fact name, found {self.text[self.pos]!r}")
-            name = m.group()
-            self.pos = m.end()
-            self.skip_ws()
-            self.expect("(")
-            args = []
-            while True:
-                self.skip_ws()
-                args.append(self.term())
-                self.skip_ws()
-                if self.pos < len(self.text) and self.text[self.pos] == ",":
-                    self.pos += 1
-                    continue
-                break
-            self.expect(")")
-            self.skip_ws()
-            self.expect(".")
-            out.append(_Fact(name, tuple(args), self.line(start)))
+            out.append(self.fact())
 
 
 def _as_activity(arg, line: int) -> Activity:
@@ -154,36 +168,81 @@ def _as_int(arg, line: int) -> int:
 # --------------------------------------------------------------------------
 # Event logs as trace/3 facts
 
+def _trace_fact(fact: _Fact) -> tuple[int, int, Activity]:
+    """Id, position and activity of a trace/3 fact the scanner read."""
+    if fact.name != "trace" or len(fact.args) != 3:
+        raise IngestError(f"expected trace/3 facts, found {fact.name}/{len(fact.args)}", fact.line)
+    tid = _as_int(fact.args[0], fact.line)
+    pos = _as_int(fact.args[1], fact.line)
+    act = _as_activity(fact.args[2], fact.line)
+    if tid < 0 or pos < 0:
+        raise IngestError("trace id and position must be non-negative", fact.line)
+    return tid, pos, act
+
+
+def _first_error(scanner: _FactScanner, exc: IngestError, rest: int) -> IngestError:
+    """`exc`, unless a fact from offset `rest` on is malformed: a document's
+    grammar errors come before the faults of its well-formed facts."""
+    scanner.pos = rest
+    scanner.facts()
+    return exc
+
+
 def parse_factlog(text: str) -> EventLog:
     """Parse trace(Id, Position, Activity) facts into an event log.
 
     Positions of each trace must be exactly 0..len-1 with no repeats;
-    traces come out ordered by id.
+    traces come out ordered by id. A fact spelled as write_factlog spells
+    it is read with one regex match; any other fact is read by the
+    scanner, which accepts the whole grammar and words every error.
     """
+    scanner = _FactScanner(text)
+    match = _TRACE_FACT_RE.match
     by_trace: dict[int, dict[int, Activity]] = {}
-    lines: dict[int, int] = {}
-    for fact in _FactScanner(text).facts():
-        if fact.name != "trace" or len(fact.args) != 3:
-            raise IngestError(f"expected trace/3 facts, found {fact.name}/{len(fact.args)}", fact.line)
-        tid = _as_int(fact.args[0], fact.line)
-        pos = _as_int(fact.args[1], fact.line)
-        act = _as_activity(fact.args[2], fact.line)
-        if tid < 0 or pos < 0:
-            raise IngestError("trace id and position must be non-negative", fact.line)
-        slots = by_trace.setdefault(tid, {})
+    last: dict[int, int] = {}  # trace id -> offset of its last fact
+    acts: dict[str, Activity] = {}  # label as spelled -> activity
+    scanner.skip_ws()
+    at, end = scanner.pos, len(text)
+    while at < end:
+        m = match(text, at)
+        if m is not None:
+            nxt = m.end()
+            tid_s, pos_s, label = m.groups()
+            tid, pos = int(tid_s), int(pos_s)
+            act = acts.get(label)
+            if act is None:
+                try:
+                    act = acts[label] = Activity(_unescape(label) if label[0] == '"' else label)
+                except ValueError as exc:
+                    err = IngestError(str(exc), scanner.line(at))
+                    raise _first_error(scanner, err, nxt) from None
+        else:
+            scanner.pos = at
+            fact = scanner.fact()
+            scanner.skip_ws()
+            nxt = scanner.pos
+            try:
+                tid, pos, act = _trace_fact(fact)
+            except IngestError as exc:
+                raise _first_error(scanner, exc, nxt) from None
+        slots = by_trace.get(tid)
+        if slots is None:
+            slots = by_trace[tid] = {}
         if pos in slots:
-            raise IngestError(f"trace {tid} repeats position {pos}", fact.line)
+            err = IngestError(f"trace {tid} repeats position {pos}", scanner.line(at))
+            raise _first_error(scanner, err, nxt)
         slots[pos] = act
-        lines[tid] = fact.line
+        last[tid] = at
+        at = nxt
     traces = []
     for tid in sorted(by_trace):
         slots = by_trace[tid]
-        missing = [p for p in range(len(slots)) if p not in slots]
-        if missing:
+        events = tuple(map(slots.get, range(len(slots))))
+        if None in events:
             raise IngestError(
-                f"trace {tid} is missing position {missing[0]}", lines[tid]
+                f"trace {tid} is missing position {events.index(None)}", scanner.line(last[tid])
             )
-        traces.append(Trace(tid, tuple(slots[p] for p in range(len(slots)))))
+        traces.append(Trace(tid, events))
     return EventLog(traces)
 
 
@@ -204,11 +263,15 @@ def write_factlog(log: EventLog) -> str:
     refused rather than silently thinned.
     """
     out = []
+    names: dict[Activity, str] = {}
     for trace in sorted(log.traces, key=lambda tr: tr.id):
         if not trace.events:
             raise IngestError(f"trace {trace.id} has no events; fact form cannot hold it")
         for pos, act in enumerate(trace.events):
-            out.append(f"trace({trace.id},{pos},{_fact_name(act.label)}).")
+            name = names.get(act)
+            if name is None:
+                name = names[act] = _fact_name(act.label)
+            out.append(f"trace({trace.id},{pos},{name}).")
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -301,6 +364,8 @@ def write_model(model: DeclareModel) -> str:
 # Queries: bind/3 for fixed slots, var_bind/3 for variables, domain/2 limits
 
 def _as_variable(arg, line: int) -> Variable:
+    from .tasks import Variable
+
     if isinstance(arg, tuple) and arg[0] == "call" and arg[1] == "var":
         inner = arg[2]
         if isinstance(inner, tuple) and inner[0] in ("ident", "quoted"):
@@ -315,6 +380,8 @@ def parse_query(text: str) -> Query:
         constraint(0,"Response"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).
         domain(var(y),b). domain(var(y),d).
     """
+    from .tasks import Query, QueryTerm
+
     facts = _ConstraintFacts()
     domains: dict[Variable, list[Activity]] = {}
     for fact in _FactScanner(text).facts():

@@ -293,18 +293,24 @@ for name in declarekit.__all__:
 print(len(declarekit.__all__))
 """
 
-CHECK_SCOPE = """
+COMMAND_SCOPE = """
 import sys
 
 from declarekit import cli
 
-rc = cli.main(["check", "--log", "log.lp", "--model", "model.lp", "--out", "r.json"])
+rc = cli.main({argv!r})
 assert rc == 0, rc
-loaded = [m for m in ("declarekit.loggen", "declarekit.xcheck", "statistics", "gzip",
-                      "xml.etree.ElementTree") if m in sys.modules]
+loaded = [m for m in {absent!r} if m in sys.modules]
 assert not loaded, loaded
 print("ok")
 """
+
+CHECK_SCOPE = COMMAND_SCOPE.format(
+    argv=["check", "--log", "log.lp", "--model", "model.lp", "--out", "r.json"],
+    absent=(
+        "declarekit.loggen", "declarekit.xcheck", "statistics", "gzip", "xml.etree.ElementTree",
+    ),
+)
 
 
 def test_package_names_resolve_on_first_use(workdir):
@@ -317,3 +323,19 @@ def test_check_imports_only_what_it_runs(workdir):
     out = run_python("-c", CHECK_SCOPE, cwd=workdir)
     assert out.returncode == 0, out.stderr
     assert out.stdout.endswith("\nok\n")
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["convert", "--in", "log.lp", "--out", "log.xes"],
+         ("declarekit.tasks", "declarekit.direct", "declarekit.automata", "declarekit.ltlf")),
+        (["compile", "--template", "Response", "--facts-json", "dfa.json"],
+         ("declarekit.ingest", "declarekit.tasks", "declarekit.direct")),
+    ],
+    ids=["convert", "compile"],
+)
+def test_commands_import_only_what_they_run(workdir, argv, absent):
+    out = run_python("-c", COMMAND_SCOPE.format(argv=argv, absent=absent), cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "ok"

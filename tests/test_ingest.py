@@ -9,9 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from declarekit import ingest
 from declarekit import (
     Activity,
     Backend,
@@ -129,6 +130,122 @@ def test_write_factlog_quotes_when_needed():
     assert 'trace(4,0,"check stock").' in text
     assert "trace(4,1,ship)." in text
     assert parse_factlog(text) == log
+
+
+def test_parse_factlog_reads_canonical_facts_without_the_scanner(monkeypatch):
+    log = EventLog((Trace.from_labels(0, ["a", 'say "hi"', "a\\b"]), Trace.from_labels(3, ["B_1"])))
+    text = "% header\n" + write_factlog(log).replace("\n", " % note\r\n") + "\n"
+
+    def refuse(self):
+        raise AssertionError(f"the scanner read the fact at offset {self.pos}")
+
+    monkeypatch.setattr(ingest._FactScanner, "fact", refuse)
+    assert parse_factlog(text) == log
+
+
+def _reference_parse_factlog(text: str) -> EventLog:
+    """The token-by-token reader the regex fast path replaced, kept as the
+    oracle: the scanner reads every fact, then each is checked in order."""
+    by_trace: dict[int, dict[int, Activity]] = {}
+    lines: dict[int, int] = {}
+    for fact in ingest._FactScanner(text).facts():
+        if fact.name != "trace" or len(fact.args) != 3:
+            raise IngestError(
+                f"expected trace/3 facts, found {fact.name}/{len(fact.args)}", fact.line
+            )
+        tid = ingest._as_int(fact.args[0], fact.line)
+        pos = ingest._as_int(fact.args[1], fact.line)
+        act = ingest._as_activity(fact.args[2], fact.line)
+        if tid < 0 or pos < 0:
+            raise IngestError("trace id and position must be non-negative", fact.line)
+        slots = by_trace.setdefault(tid, {})
+        if pos in slots:
+            raise IngestError(f"trace {tid} repeats position {pos}", fact.line)
+        slots[pos] = act
+        lines[tid] = fact.line
+    traces = []
+    for tid in sorted(by_trace):
+        slots = by_trace[tid]
+        missing = [p for p in range(len(slots)) if p not in slots]
+        if missing:
+            raise IngestError(f"trace {tid} is missing position {missing[0]}", lines[tid])
+        traces.append(Trace(tid, tuple(slots[p] for p in range(len(slots)))))
+    return EventLog(traces)
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+_LABEL_TOKENS = st.one_of(
+    st.from_regex(r"[a-z][a-z0-9_]{0,2}", fullmatch=True),
+    st.from_regex(r"[A-Z_][A-Za-z0-9_]{0,2}", fullmatch=True),  # quoted by write_factlog
+    st.text(alphabet='ab"\\\n\r%., ()*', min_size=1, max_size=4).map(_quote),
+    st.text(alphabet='ab"\\\n%', min_size=1, max_size=3).map(lambda t: f'"{t}"'),  # not escaped
+)
+_FAULTS = ("negative", "repeat", "missing", "star", "int", "call", "arity", "name", "truncate")
+
+
+@st.composite
+def _fact_documents(draw):
+    """trace/3 documents in the canonical spelling and in spellings only the
+    scanner reads, with at most one planted fault."""
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    gaps = st.sampled_from(["", " ", "\t", eol, f"% x{eol}", f"%{eol}{eol}"])
+    traces = draw(st.lists(st.lists(_LABEL_TOKENS, min_size=1, max_size=4), min_size=1, max_size=3))
+    n = len(traces)
+    ids = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n, unique=True))
+    facts = [
+        ["trace", str(tid), str(pos), label]
+        for tid, labels in zip(ids, traces)
+        for pos, label in enumerate(labels)
+    ]
+    if draw(st.booleans()):
+        facts = draw(st.permutations(facts))
+    fault = draw(st.none() | st.sampled_from(_FAULTS))
+    at = draw(st.integers(0, len(facts) - 1))
+    fact = facts[at]
+    if fault == "negative":
+        fact[draw(st.sampled_from([1, 2]))] = "-1"
+    elif fault == "repeat":
+        facts.insert(draw(st.integers(0, len(facts))), [*fact[:3], draw(_LABEL_TOKENS)])
+    elif fault == "missing":
+        del facts[at]
+    elif fault in ("star", "int", "call"):
+        fact[3] = {"star": '"*"', "int": "7", "call": "a(b)"}[fault]
+    elif fault == "arity":
+        facts[at] = fact[:3] if draw(st.booleans()) else [*fact, "x"]
+    elif fault == "name":
+        fact[0] = draw(st.sampled_from(["event", "Trace", "trace_"]))
+    pieces = []
+    for name, *args in facts:
+        if draw(st.booleans()):
+            between = [t for arg in args for t in (",", arg)][1:]
+            tokens = [name, "(", *between, ")", "."]
+            pieces.append("".join(t + draw(gaps) for t in tokens))
+        else:
+            pieces.append(f"{name}({','.join(args)}).")
+        pieces.append(draw(gaps))
+    text = draw(gaps) + "".join(pieces)
+    if fault == "truncate":
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except IngestError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_fact_documents())
+@example(text="trace(0,1,a).\ntrace(1,0,b).\n\n")  # the line of trace 0's last fact
+@example(text='trace(-1,0,a).\r\ntrace(0,0,"\\").')  # the later syntax error wins
+@example(text='trace(0,0,a).\rtrace(0,0,"b").\r')
+def test_parse_factlog_matches_the_token_reader(text):
+    assert _outcome(parse_factlog, text) == _outcome(_reference_parse_factlog, text)
 
 
 # --------------------------------------------------------------------------
