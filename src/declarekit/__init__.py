@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "tasks": (
         "Backend", "CheckReport", "EmptyLogError", "Query", "QueryAnswer", "QueryTerm",
-        "Variable", "conformance_check", "make_checker", "make_row_checker", "query_check",
+        "Variable", "check_log", "conformance_check", "make_checker", "query_check",
         "support",
     ),
     "xcheck": ("Disagreement", "exhaustive_check", "random_check"),

@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import islice
 from typing import Sequence
 
-from .core import Activity, WILDCARD_LABEL
+from .core import Activity, CodedLog, WILDCARD_LABEL
 from .ltlf import (
     And,
     Atom,
@@ -72,10 +73,8 @@ class Dfa:
     moves: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
-    # Column of each named activity and each state's wildcard successor,
-    # built once rather than per `accepts`.
+    # Column of each named activity, built once rather than per `accepts`.
     _columns: dict[Activity, int] = field(init=False, repr=False, compare=False)
-    _wild: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_columns", {a: i for i, a in enumerate(self.named)})
@@ -88,45 +87,19 @@ class Dfa:
             raise ValueError("initial state out of range")
         if any(not (0 <= s < n) for s in self.accepting):
             raise ValueError("accepting state out of range")
-        object.__setattr__(self, "_wild", tuple(row[-1] for row in self.moves))
 
     @property
     def n_states(self) -> int:
         return len(self.moves)
 
-    def accepts(
-        self, events: tuple[Activity, ...], positions: Sequence[int] | None = None
-    ) -> bool:
-        """Whether the DFA accepts the trace `events`.
-
-        `positions`, when given, holds in ascending order the positions of
-        the events whose activity is in `named`, and only those events are
-        read. A run of g other events between them follows the wildcard
-        column for g steps or until it reaches a state it does not leave,
-        whichever comes first. Minimal LTLf automata are counter-free, so
-        such a run settles within `n_states` steps.
-        """
+    def accepts(self, events: tuple[Activity, ...]) -> bool:
+        """Whether the DFA accepts the trace `events`."""
         columns = self._columns
         moves = self.moves
+        other = len(self.named)
         state = self.initial
-        if positions is None:
-            other = len(self.named)
-            for ev in events:
-                state = moves[state][columns.get(ev, other)]
-            return state in self.accepting
-        wild = self._wild
-        last = -1
-        for p in positions:
-            gap = p - last - 1
-            while gap and wild[state] != state:
-                state = wild[state]
-                gap -= 1
-            state = moves[state][columns[events[p]]]
-            last = p
-        gap = len(events) - last - 1
-        while gap and wild[state] != state:
-            state = wild[state]
-            gap -= 1
+        for ev in events:
+            state = moves[state][columns.get(ev, other)]
         return state in self.accepting
 
 
@@ -349,6 +322,89 @@ def product(left: Dfa, right: Dfa) -> Dfa:
         i for (l, r), i in ids.items() if l in left.accepting and r in right.accepting
     )
     return Dfa(named=left.named, moves=tuple(rows), initial=0, accepting=accepting)
+
+
+# --------------------------------------------------------------------------
+# Colored automata: automata over one alphabet walk a log together
+
+# A group of automata whose product has more states than this is split in
+# two, which bounds each part's dense transition table.
+_PRODUCT_STATES = 512
+
+
+def _colored_product(
+    dfas: Sequence[Dfa],
+) -> tuple[list[list[int]], list[tuple[bool, ...]]] | None:
+    """The synchronous product of automata over one alphabet, breadth first.
+
+    Returns (moves, colors): state 0 is initial, moves[s][col] is as in
+    `Dfa.moves`, and colors[s] tells which of `dfas` accept in state s.
+    Returns None when two or more automata reach over _PRODUCT_STATES
+    states.
+    """
+    width = len(dfas[0].named) + 1
+    start = tuple(d.initial for d in dfas)
+    ids = {start: 0}
+    states = [start]
+    moves = []
+    for state in states:  # grows as the walk finds states
+        row = []
+        for col in range(width):
+            succ = tuple([d.moves[s][col] for d, s in zip(dfas, state)])
+            nxt = ids.get(succ)
+            if nxt is None:
+                if len(states) == _PRODUCT_STATES and len(dfas) > 1:
+                    return None
+                nxt = ids[succ] = len(states)
+                states.append(succ)
+            row.append(nxt)
+        moves.append(row)
+    colors = [tuple([s in d.accepting for d, s in zip(dfas, state)]) for state in states]
+    return moves, colors
+
+
+def walk_log(dfas: Sequence[Dfa], coded: CodedLog) -> list[bytearray]:
+    """Whether each automaton accepts each trace of a coded log.
+
+    Every named activity of `dfas` that occurs in the log must be among
+    the coded activities. `verdicts[j][i]` is 1 when dfas[j] accepts
+    trace i and 0 otherwise. Automata with the same named activities form
+    one colored product, whose states carry the verdicts of all its
+    members, and each product reads every event once through a dense
+    `table[state][code]`.
+    """
+    verdicts = [bytearray() for _ in dfas]
+    groups: dict[tuple[Activity, ...], list[int]] = {}
+    for j, dfa in enumerate(dfas):
+        groups.setdefault(dfa.named, []).append(j)
+    parts = list(groups.values())
+    while parts:
+        members = parts.pop()
+        built = _colored_product([dfas[j] for j in members])
+        if built is None:
+            half = len(members) // 2
+            parts += (members[:half], members[half:])
+            continue
+        moves, colors = built
+        named = dfas[members[0]].named
+        column = [len(named)] * (len(coded.codes) + 1)
+        for i, a in enumerate(named):
+            code = coded.codes.get(a)
+            if code is not None:
+                column[code] = i
+        table = [list(map(row.__getitem__, column)) for row in moves]
+        finals = []
+        events = iter(coded.events)
+        for n in coded.lengths:
+            state = 0
+            for code in islice(events, n):
+                state = table[state][code]
+            finals.append(state)
+            next(events)  # the code that ends the trace
+        for k, j in enumerate(members):
+            accepts = bytes([color[k] for color in colors])
+            verdicts[j] = bytearray(map(accepts.__getitem__, finals))
+    return verdicts
 
 
 # --------------------------------------------------------------------------

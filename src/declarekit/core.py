@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 WILDCARD_LABEL = "*"
 
@@ -111,9 +112,34 @@ def index_positions(events: tuple[Activity, ...]) -> PositionIndex:
     return index
 
 
-def named_positions(index: PositionIndex, activities: tuple[Activity, ...]) -> list[int]:
-    """Ascending positions of the events of `activities` in an indexed trace."""
-    return sorted([t for a in activities for t in index.get(a, ())])
+@dataclass(frozen=True)
+class CodedLog:
+    """The events of a log, each coded once as a small integer.
+
+    Activity a is code `codes[a]`, 0 up to len(codes) - 1, and every other
+    activity is code len(codes). `events` holds, trace after trace, the
+    codes of a trace's events followed by len(codes) + 1, which ends the
+    trace; `lengths[i]` is the number of events of trace i.
+    """
+
+    codes: dict[Activity, int]
+    events: list[int]
+    lengths: list[int]
+
+
+_END = (None,)  # stands for the code that ends a trace
+
+
+def code_events(traces: Sequence[Trace], activities: Iterable[Activity]) -> CodedLog:
+    """Code the events of `traces`, with `activities` in order as codes
+    0, 1, ... and every other activity as one more code."""
+    codes = {a: i for i, a in enumerate(dict.fromkeys(activities))}
+    lookup = {**codes, None: len(codes) + 1}
+    stream = itertools.chain.from_iterable(
+        part for trace in traces for part in (trace.events, _END)
+    )
+    events = list(map(lookup.get, stream, itertools.repeat(len(codes))))
+    return CodedLog(codes, events, [len(trace.events) for trace in traces])
 
 
 class EventLog:

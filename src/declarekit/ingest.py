@@ -57,6 +57,10 @@ _WS_RE = re.compile(_WS + "+")
 _TRACE_FACT_RE = re.compile(rf"trace\((\d+),(\d+),({_NAME}|{_QUOTED})\)\.{_WS}*")
 
 
+def _too_long(digits: str) -> str:
+    return f"integer of {len(digits)} digits is too long"
+
+
 def _unescape(tok: str) -> str:
     return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
@@ -100,8 +104,12 @@ class _FactScanner:
             return ("quoted", _unescape(m.group()))
         m = _INT_RE.match(self.text, self.pos)
         if m:
+            try:
+                value = int(m.group())
+            except ValueError:  # longer than the interpreter converts
+                raise self.error(_too_long(m.group())) from None
             self.pos = m.end()
-            return int(m.group())
+            return value
         m = _NAME_RE.match(self.text, self.pos)
         if m:
             name = m.group()
@@ -208,7 +216,11 @@ def parse_factlog(text: str) -> EventLog:
         if m is not None:
             nxt = m.end()
             tid_s, pos_s, label = m.groups()
-            tid, pos = int(tid_s), int(pos_s)
+            try:
+                tid, pos = int(tid_s), int(pos_s)
+            except ValueError:  # longer than the interpreter converts
+                err = IngestError(_too_long(max(tid_s, pos_s, key=len)), scanner.line(at))
+                raise _first_error(scanner, err, nxt) from None
             act = acts.get(label)
             if act is None:
                 try:
@@ -601,11 +613,14 @@ def _json_block(brackets: str, items: list[str], indent: str) -> str:
 
 
 def _report_json(report: CheckReport, tids, cids, log_name: str, model_name: str) -> str:
-    """The text json.dumps(doc, indent=2) gives for the report document.
+    """The text json.dumps(doc, indent=2) gives for the report document,
+    and a line end.
 
     Written directly, since that encoder runs in pure Python. Strings are
     escaped as ensure_ascii escapes them; the two cells of each constraint
-    are rendered once and picked per trace by the verdict.
+    are rendered once and picked per trace by the verdict. The matrix rows
+    are joined once, straight into the document, so that no more than two
+    copies of the matrix text are alive at a time.
     """
     enc = encode_basestring_ascii
     cells = [
@@ -613,23 +628,28 @@ def _report_json(report: CheckReport, tids, cids, log_name: str, model_name: str
         for cid in cids
     ]
     matrix = report.matrix
-    rows = [
+    rows = ",\n".join([
         f"    {enc(str(tid))}: "
         + _json_block("{}", [pair[matrix[tid, cid]] for cid, pair in cells], "    ")
         for tid in tids
-    ]
+    ])
     supports = [
         f"    {enc(str(cid))}: {enc(_fraction_str(report.supports[cid]))}" for cid in cids
     ]
-    doc = [
-        f'  "log": {enc(log_name)}',
-        f'  "model": {enc(model_name)}',
-        f'  "backend": {enc(report.backend.value)}',
-        '  "matrix": ' + _json_block("{}", rows, "  "),
-        '  "compliant": ' + _json_block("[]", [f"    {t}" for t in sorted(report.compliant)], "  "),
-        '  "supports": ' + _json_block("{}", supports, "  "),
-    ]
-    return _json_block("{}", doc, "")
+    compliant = [f"    {t}" for t in sorted(report.compliant)]
+    return "".join((
+        "{\n",
+        f'  "log": {enc(log_name)},\n',
+        f'  "model": {enc(model_name)},\n',
+        f'  "backend": {enc(report.backend.value)},\n',
+        '  "matrix": ',
+        *(("{\n", rows, "\n  }") if rows else ("{}",)),
+        ',\n  "compliant": ',
+        _json_block("[]", compliant, "  "),
+        ',\n  "supports": ',
+        _json_block("{}", supports, "  "),
+        "\n}\n",
+    ))
 
 
 def write_report(
@@ -648,7 +668,7 @@ def write_report(
     tids = sorted(report.trace_ids)
     cids = sorted(report.constraint_ids)
     if format == "json":
-        return (_report_json(report, tids, cids, log_name, model_name) + "\n").encode("ascii")
+        return _report_json(report, tids, cids, log_name, model_name).encode("ascii")
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -12,9 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Iterator, Sequence
 
-from .core import Activity, PositionIndex, TemplateKind, Trace, index_positions
+from .core import Activity, CodedLog, TemplateKind, Trace, code_events
 
 
 class Formula:
@@ -541,25 +542,41 @@ def _nnf(f: Formula, positive: bool) -> Formula:
 # --------------------------------------------------------------------------
 # Evaluation
 #
-# A trace of n > 0 events is evaluated bottom-up, one step per distinct
-# subformula. A step's values at all n positions are packed into one
-# integer with position t at bit n-1-t: position 0 is the top bit and the
-# last position is bit 0, so a later position is a lower bit. Every
-# operator is then a few big-int operations with no loop over positions
-# (lowbit(c) = c & -c, the lowest set bit, or 0 when c is 0):
+# A log is evaluated bottom-up, one step per distinct subformula, over
+# blocks of whole traces. A block is laid out as one binary string: each
+# trace's positions in order, then one guard digit (an empty trace is its
+# guard alone); digit d of an L-digit layout is bit L-1-d, so a later
+# position is a lower bit and each trace's guard sits just below its last
+# position. A step's values at every digit of the block are one integer,
+# 0 on guards, and every operator is a few big-int operations with no
+# loop over positions or traces. With B the guard mask, full = ALL ^ B
+# and last = (B << 1) & full:
 #
-#   X p = (p << 1) & full          Xw p = X p | 1
-#   F p = full & ~(lowbit(p) - 1)  G p = (lowbit(full & ~p) - 1) & full
-#   l U r = ((a + r) ^ a ^ r) >> 1 l W r = ((a + r + 1) ^ a ^ r) >> 1
-#   l R r = full & ~(!l U !r)      where a = l | r
+#   X p = (p << 1) & full          Xw p = X p | last
+#   l U r = ((a + r) ^ a ^ r) >> 1 where a = l | r
+#   l W r = l U (r | B), & full    l R r = full ^ (!l U !r)
+#   F p = true U p                 G p = full ^ F(full ^ p)
 #
 # U at bit b is r_b | (l_b & U at bit b-1), which is the carry rule of
 # a + r: r generates a carry, l alone propagates one and neither kills it.
 # So U is the carry vector (a + r) ^ a ^ r, shifted down to the bit that
-# received it. W also holds past the last position: a carry-in of 1.
+# received it. A guard is 0 in a and r, so it kills every carry: none
+# crosses from one trace into the one before it. W also holds past the
+# last position: the guard in r is its carry-in of 1.
 
 # One evaluation step: (node class, child steps, atom or None).
 _Step = tuple[type, tuple[int, ...], Activity | None]
+
+# Traces are laid out in blocks of about this many digits; a longer trace
+# is a block of its own. Blocks this small keep each mask (256 bytes) and
+# each per-block buffer in memory the rest of a run reuses: on CPython
+# 3.11 with glibc, checking 2,000 traces of 5 to 60 events left 0.13 to
+# 0.42 MiB more resident with blocks of 2**12 to 2**18 digits than with
+# 2**11, for no less time.
+_BLOCK_DIGITS = 1 << 11
+
+# Translates the digits b"0" and b"1" to the bytes 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=4096)
@@ -594,20 +611,47 @@ def _plan(formulas: tuple[Formula, ...]) -> tuple[tuple[_Step, ...], tuple[tuple
     return tuple(steps), tuple(all_slots)
 
 
-def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
-    """Per-step masks over a trace of n > 0 events with position index `index`."""
-    full = (1 << n) - 1
+def _atom_masks(
+    atoms: list[Activity], coded: CodedLog, start: int, stop: int
+) -> dict[Activity, int]:
+    """The mask of each atom over the layout coded.events[start:stop].
+
+    The layout is written once as bytes, one per digit: byte k for an
+    event of the k-th atom, 0 for a guard or an event of any other
+    activity. Each atom's mask is then one `bytes.translate` to '0'/'1'
+    digits and one `int(..., 2)`, which has no digit limit. A plan naming
+    more than 255 atoms writes the layout once per 255 of them.
+    """
+    pick = itemgetter(*coded.events[start:stop])
+    masks = {}
+    for first in range(0, len(atoms), 255):
+        chunk = atoms[first : first + 255]
+        byte = bytearray(len(coded.codes) + 2)  # one per code, the guard's last
+        for k, atom in enumerate(chunk, 1):
+            code = coded.codes.get(atom)
+            if code is not None:
+                byte[code] = k
+        layout = bytes(pick(byte))
+        for k, atom in enumerate(chunk, 1):
+            masks[atom] = int(layout.translate(b"0" * k + b"1" + b"0" * (255 - k)), 2)
+    return masks
+
+
+def _eval_block(
+    steps: tuple[_Step, ...], coded: CodedLog, start: int, stop: int, lengths: list[int]
+) -> list[int]:
+    """Per-step masks over the layout coded.events[start:stop] of traces
+    of `lengths` events, at least one of them non-empty."""
+    # The guard digits: each trace's positions are 0s, then its guard a 1.
+    guards = int(b"1".join([b"0" * n for n in lengths]) + b"1", 2)
+    full = ((1 << (stop - start)) - 1) ^ guards
+    last = (guards << 1) & full  # an empty trace has a guard and no last position
+    atom = _atom_masks([a for op, _, a in steps if op is Atom], coded, start, stop)
     masks: list[int] = []
     # Node classes are tested roughly in order of how often templates use them.
-    for op, kids, atom in steps:
+    for op, kids, activity in steps:
         if op is Atom:
-            # Position t is digit t of an n-digit binary string: one linear
-            # pass (int() in base 2 has no digit limit), where setting bits
-            # one by one would copy the mask once per occurrence.
-            digits = bytearray(b"0") * n
-            for t in index.get(atom, ()):
-                digits[t] = 49  # ord("1")
-            m = int(digits, 2)
+            m = atom[activity]
         elif op is Not:
             m = full ^ masks[kids[0]]
         elif op is And:
@@ -625,21 +669,21 @@ def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
         elif op is Next:
             m = (masks[kids[0]] << 1) & full
         elif op is WeakNext:
-            m = ((masks[kids[0]] << 1) & full) | 1
+            m = ((masks[kids[0]] << 1) & full) | last
         elif op is Eventually:
-            c = masks[kids[0]]
-            m = full & ~((c & -c) - 1)
+            r = masks[kids[0]]
+            m = ((full + r) ^ full ^ r) >> 1
         elif op is Globally:
-            c = full ^ masks[kids[0]]
-            m = ((c & -c) - 1) & full
+            r = full ^ masks[kids[0]]
+            m = full ^ (((full + r) ^ full ^ r) >> 1)
         elif op is Until:
             r = masks[kids[1]]
             a = masks[kids[0]] | r
             m = ((a + r) ^ a ^ r) >> 1
         elif op is WeakUntil:
-            r = masks[kids[1]]
+            r = masks[kids[1]] | guards
             a = masks[kids[0]] | r
-            m = ((a + r + 1) ^ a ^ r) >> 1
+            m = (((a + r) ^ a ^ r) >> 1) & full
         elif op is Release:
             r = full ^ masks[kids[1]]
             a = (full ^ masks[kids[0]]) | r
@@ -654,29 +698,60 @@ def _eval_masks(steps, n: int, index: PositionIndex) -> list[int]:
     return masks
 
 
-def tree_row_checker(formulas: Iterable[Formula]) -> Callable[[Trace, PositionIndex], list[bool]]:
-    """Resolve one shared plan for all formulas; `row(trace, index)` is
-    `[eval_tree(f, trace) for f in formulas]` on a trace whose
-    `index_positions` is `index`, from one mask evaluation.
+def _blocks(lengths: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Runs of whole traces of about _BLOCK_DIGITS digits, as (first trace,
+    end trace, first digit, end digit); a trace takes its events and its
+    guard. A longer trace is a block of its own."""
+    first = start = stop = 0
+    for i, n in enumerate(lengths):
+        stop += n + 1
+        if stop - start >= _BLOCK_DIGITS:
+            yield first, i + 1, start, stop
+            first, start = i + 1, stop
+    if first < len(lengths):
+        yield first, len(lengths), start, stop
+
+
+def eval_log(formulas: Sequence[Formula], coded: CodedLog) -> list[bytearray]:
+    """Every formula's verdict on every trace of a coded log.
+
+    Every atom of `formulas` that occurs in the log must be among the
+    coded activities. `verdicts[j][i]` is 1 when formula j holds at
+    position 0 of trace i, or on an empty trace i when ev_empty holds,
+    and 0 otherwise. One plan holds each distinct subformula of all the
+    formulas once, and each block of traces evaluates it once.
     """
     formulas = tuple(formulas)
     steps, slots = _plan(formulas)
     roots = [s[0] for s in slots]
-
-    def row(trace: Trace, index: PositionIndex) -> list[bool]:
-        events = trace.events
-        if not events:
-            return [ev_empty(f) for f in formulas]
-        masks = _eval_masks(steps, len(events), index)
-        top = len(events) - 1  # position 0
-        return [masks[r] >> top == 1 for r in roots]
-
-    return row
+    empty = [ev_empty(f) for f in formulas]
+    verdicts = [bytearray(len(coded.lengths)) for _ in formulas]
+    for first, last, start, stop in _blocks(coded.lengths):
+        lengths = coded.lengths[first:last]
+        if stop - start > len(lengths):
+            masks = _eval_block(steps, coded, start, stop, lengths)
+        else:  # empty traces only
+            masks = [0] * len(steps)
+        # Digit 0 is a sentinel holding ev_empty, read by empty traces; the
+        # layout follows it, each trace's first position just after the
+        # guard of the trace before.
+        firsts, width = [], 1
+        for n in lengths:
+            firsts.append(width if n else 0)
+            width += n + 1
+        pick = itemgetter(*firsts)
+        top = width - 1
+        for column, r, e in zip(verdicts, roots, empty):
+            digits = format(masks[r] | (e << top), f"0{width}b")
+            # One digit per trace ("".join also takes the str that pick
+            # returns for a one-trace block), as bytes 0 and 1.
+            column[first:last] = "".join(pick(digits)).encode().translate(_DIGIT_VALUES)
+    return verdicts
 
 
 def eval_tree(f: Formula, trace: Trace) -> bool:
     """Satisfaction of f at position 0, or ev_empty(f) on the empty trace."""
-    return tree_row_checker((f,))(trace, index_positions(trace.events))[0]
+    return eval_log((f,), code_events((trace,), trace.events))[0][0] == 1
 
 
 def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
@@ -685,14 +760,13 @@ def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
     The table holds exactly |subformulas(f)| * len(trace) entries; it is
     empty for the empty trace, whose verdict comes from ev_empty.
     """
-    events = trace.events
-    if not events:
+    n = len(trace)
+    if not n:
         return {}
-    n = len(events)
     steps, (slots,) = _plan((f,))
-    masks = _eval_masks(steps, n, index_positions(events))
-    # Digit t of the n-digit binary string is bit n-1-t, that is position t.
-    digits = [format(m, f"0{n}b") for m in masks]
+    masks = _eval_block(steps, code_events((trace,), trace.events), 0, n + 1, [n])
+    # Digit t of the layout (n positions, then the guard) is position t.
+    digits = [format(m, f"0{n + 1}b") for m in masks]
     return {
         (node_id, t): digits[slot][t] == "1"
         for node_id, slot in enumerate(slots)

@@ -2,8 +2,11 @@
 
 Three interchangeable backends produce identical verdicts whenever a
 constraint's activation and target differ: positional rules (direct),
-formula evaluation (tree), and compiled automata (dfa). Supports are
-exact rationals over the number of traces.
+formula evaluation (tree), and compiled automata (dfa). Every task gets
+its verdicts from `check_log`, one call per log: direct checks trace by
+trace over a per-trace position index, while tree and dfa check the
+whole log at a time over events coded once as small integers. Supports
+are exact rationals over the number of traces.
 """
 
 from __future__ import annotations
@@ -15,20 +18,20 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .automata import template_dfa
+from .automata import template_dfa, walk_log
 from .core import (
     Activity,
+    CodedLog,
     Constraint,
     DeclareModel,
     EventLog,
-    PositionIndex,
     TemplateKind,
     Trace,
+    code_events,
     index_positions,
-    named_positions,
 )
 from .direct import direct_checker
-from .ltlf import template_formula, tree_row_checker
+from .ltlf import eval_log, template_formula
 
 
 class Backend(Enum):
@@ -51,50 +54,50 @@ class EmptyLogError(ValueError):
     """Raised for tasks whose result is undefined on a log with no traces."""
 
 
-def make_checker(constraint: Constraint, backend: Backend) -> Callable[..., bool]:
-    """The one-constraint `make_row_checker`: `checker(trace, index=None)`.
+def check_log(
+    traces: Sequence[Trace], constraints: Sequence[Constraint], backend: Backend
+) -> list[bytearray]:
+    """Every constraint's verdict on every trace: `verdicts[j][i]` is 1
+    when constraints[j] holds on traces[i] and 0 otherwise.
 
-    Pass the trace's shared `index_positions` when there is one; without
-    it, the checker builds it.
-    """
-    row = make_row_checker((constraint,), backend)
-
-    def holds(trace: Trace, index: PositionIndex | None = None) -> bool:
-        if index is None:
-            index = index_positions(trace.events)
-        return row(trace, index)[0]
-
-    return holds
-
-
-def make_row_checker(
-    constraints: Sequence[Constraint], backend: Backend
-) -> Callable[[Trace, PositionIndex], list[bool]]:
-    """Bind a model's constraints to one backend, sharing work across them.
-
-    `row(trace, index)` lists the verdicts of `constraints` in order on a
-    trace with `index_positions` `index`. tree evaluates one plan holding
-    each distinct subformula once; dfa merges the positions of each
-    distinct automaton alphabet once and walks only those positions.
+    direct checks one trace at a time, its constraints sharing the trace's
+    `index_positions`. tree and dfa code each event once and check the
+    whole log at a time: tree evaluates one plan holding each distinct
+    subformula once per block of traces, and dfa walks one colored
+    product automaton per group of constraints over the same activities.
     """
     if backend is Backend.DIRECT:
         checkers = [direct_checker(c) for c in constraints]
-        return lambda trace, index: [fn(trace, index) for fn in checkers]
+        verdicts = [bytearray(len(traces)) for _ in checkers]
+        for i, trace in enumerate(traces):
+            # One position index per trace, shared by its constraints.
+            index = index_positions(trace.events)
+            for column, holds in zip(verdicts, checkers):
+                column[i] = holds(trace, index)
+        return verdicts
+    named = (a for c in constraints for a in (c.activation, c.target))
+    return _check_coded(code_events(traces, named), constraints, backend)
+
+
+def _check_coded(
+    coded: CodedLog, constraints: Sequence[Constraint], backend: Backend
+) -> list[bytearray]:
+    """`check_log` for tree or dfa, on a log coded by `code_events` with
+    every activity the constraints name among the coded ones."""
     if backend is Backend.TREE:
-        return tree_row_checker(
-            [template_formula(c.kind, c.activation, c.target) for c in constraints]
-        )
+        formulas = [template_formula(c.kind, c.activation, c.target) for c in constraints]
+        return eval_log(formulas, coded)
     if backend is Backend.DFA:
         dfas = [template_dfa(c.kind, c.activation, c.target) for c in constraints]
-        alphabets = dict.fromkeys(dfa.named for dfa in dfas)
-
-        def row(trace: Trace, index: PositionIndex) -> list[bool]:
-            events = trace.events
-            positions = {named: named_positions(index, named) for named in alphabets}
-            return [dfa.accepts(events, positions[dfa.named]) for dfa in dfas]
-
-        return row
+        return walk_log(dfas, coded)
     raise ValueError(f"unhandled backend {backend!r}")
+
+
+def make_checker(constraint: Constraint, backend: Backend) -> Callable[[Trace], bool]:
+    """One constraint on one trace at a time: `checker(trace) -> bool`."""
+    if backend is Backend.DIRECT:
+        return direct_checker(constraint)
+    return lambda trace: check_log((trace,), (constraint,), backend)[0][0] == 1
 
 
 @dataclass(frozen=True)
@@ -119,31 +122,30 @@ def conformance_check(
     model: DeclareModel,
     backend: Backend = Backend.DIRECT,
 ) -> CheckReport:
-    """Check every trace against every constraint, one trace at a time."""
+    """Check every trace against every constraint.
+
+    One `check_log` call gives each constraint's verdicts on the whole
+    log; the matrix, compliant set and supports are read off them.
+    """
     ids = [c.id for c in model.constraints]
-    row = make_row_checker(model.constraints, backend)
+    verdicts = check_log(log.traces, model.constraints, backend)
+    trace_ids = tuple(tr.id for tr in log.traces)
+    n = len(trace_ids)
 
     matrix: dict[tuple[int, int], bool] = {}
-    compliant = []
-    sat_counts = [0] * len(ids)
-    for trace in log.traces:
-        # One position index per row, shared by its constraints and dropped with it.
-        verdicts = row(trace, index_positions(trace.events))
-        tid = trace.id
-        for i, ok in enumerate(verdicts):
-            matrix[(tid, ids[i])] = ok
-            if ok:
-                sat_counts[i] += 1
-        if all(verdicts):
-            compliant.append(tid)
-
-    n = len(log)
-    supports = {
-        cid: (Fraction(count, n) if n else Fraction(0)) for cid, count in zip(ids, sat_counts)
-    }
+    supports = {}
+    # Verdicts are bytes 0 and 1, so the bytewise AND of all columns, taken
+    # as big integers, marks the traces on which every constraint holds.
+    every = int.from_bytes(b"\1" * n, "big")
+    for j, cid in enumerate(ids):
+        column, verdicts[j] = verdicts[j], None  # dropped once read
+        matrix.update(zip(zip(trace_ids, itertools.repeat(cid)), map(bool, column)))
+        supports[cid] = Fraction(sum(column), n) if n else Fraction(0)
+        every &= int.from_bytes(column, "big")
+    compliant = itertools.compress(trace_ids, every.to_bytes(n, "big"))
     return CheckReport(
         backend=backend,
-        trace_ids=tuple(tr.id for tr in log.traces),
+        trace_ids=trace_ids,
         constraint_ids=tuple(ids),
         matrix=matrix,
         compliant=frozenset(compliant),
@@ -155,9 +157,8 @@ def support(constraint: Constraint, log: EventLog, backend: Backend = Backend.DI
     """Fraction of traces satisfying the constraint; undefined on empty logs."""
     if len(log) == 0:
         raise EmptyLogError("support is undefined on an empty log")
-    fn = make_checker(constraint, backend)
-    hits = sum(1 for tr in log.traces if fn(tr))
-    return Fraction(hits, len(log))
+    (column,) = check_log(log.traces, (constraint,), backend)
+    return Fraction(sum(column), len(log))
 
 
 # --------------------------------------------------------------------------
@@ -232,8 +233,10 @@ def query_check(
 
     The threshold is a rational in (0, 1]; a binding is kept when at most
     floor((1 - threshold) * |log|) traces violate its instantiation,
-    which is exactly support >= threshold. A binding is dropped as soon
-    as it exceeds that violation budget. Answers come sorted by
+    which is exactly support >= threshold. On the direct backend a
+    binding is dropped as soon as it exceeds that violation budget; tree
+    and dfa check each binding on the whole log at once, over events
+    coded once for the whole query. Answers come sorted by
     descending support, then by binding labels in variable-name order.
     """
     s = Fraction(threshold)
@@ -253,11 +256,18 @@ def query_check(
     n = len(log)
     max_violations = math.floor((1 - s) * n)
     answers: list[QueryAnswer] = []
-    # One position index per trace, shared by every term of every binding.
-    # They live for the whole query: about 64 bytes per event, less than
-    # loading the log peaked at, where indexing per binding would repeat
-    # the work once per binding.
-    indexed = [(trace, index_positions(trace.events)) for trace in log.traces]
+    if backend is Backend.DIRECT:
+        # One position index per trace, shared by every term of every
+        # binding. They live for the whole query: about 64 bytes per event,
+        # less than loading the log peaked at, where indexing per binding
+        # would repeat the work once per binding.
+        indexed = [(trace, index_positions(trace.events)) for trace in log.traces]
+    else:
+        # Each event coded once for the whole query; every binding checks
+        # the whole log at once.
+        named = [a for term in query.terms for a in (term.activation, term.target)
+                 if isinstance(a, Activity)]
+        coded = code_events(log.traces, itertools.chain(named, *domains))
 
     for combo in itertools.product(*domains):
         binding = dict(zip(variables, combo))
@@ -265,19 +275,21 @@ def query_check(
         def fill(slot: Slot) -> Activity:
             return binding[slot] if isinstance(slot, Variable) else slot
 
-        row = make_row_checker(
-            [
-                Constraint(i, term.kind, fill(term.activation), fill(term.target))
-                for i, term in enumerate(query.terms)
-            ],
-            backend,
-        )
-        violations = 0
-        for trace, index in indexed:
-            if not all(row(trace, index)):
-                violations += 1
-                if violations > max_violations:
-                    break
+        constraints = [
+            Constraint(i, term.kind, fill(term.activation), fill(term.target))
+            for i, term in enumerate(query.terms)
+        ]
+        if backend is Backend.DIRECT:
+            # A binding stops at the first trace over its violation budget.
+            checkers = [direct_checker(c) for c in constraints]
+            violations = 0
+            for trace, index in indexed:
+                if not all(holds(trace, index) for holds in checkers):
+                    violations += 1
+                    if violations > max_violations:
+                        break
+        else:
+            violations = n - sum(map(all, zip(*_check_coded(coded, constraints, backend))))
         if violations <= max_violations:
             answers.append(
                 QueryAnswer(binding=binding, support=Fraction(n - violations, n))

@@ -13,21 +13,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .core import (
-    Activity,
-    Constraint,
-    EventLog,
-    PositionIndex,
-    TemplateKind,
-    Trace,
-    index_positions,
-)
+from .core import Activity, Constraint, EventLog, TemplateKind, Trace
 from .ingest import write_factlog
-from .tasks import Backend, make_row_checker
+from .tasks import Backend, check_log
 
 ALL_KINDS: tuple[TemplateKind, ...] = tuple(TemplateKind)
+
+# Traces are checked this many at a time, which bounds the memory a long
+# sweep holds.
+_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -48,36 +44,36 @@ class Disagreement:
         }
 
 
-# One row checker per backend, in Backend order (direct, tree, dfa), each
-# holding one constraint over (a, b) per kind, compiled once.
-_Rows = list[Callable[[Trace, PositionIndex], list[bool]]]
-
-
-def _rows(kinds: tuple[TemplateKind, ...]) -> _Rows:
+def _compare(
+    sweep: Iterator[tuple[Activity, ...]], kinds: tuple[TemplateKind, ...]
+) -> list[Disagreement]:
+    """Check every trace of a sweep with one constraint over (a, b) per
+    kind on every backend, a batch of traces at a time. Split verdicts
+    come in sweep order, then in `kinds` order."""
     act, tgt = Activity("a"), Activity("b")
     constraints = [Constraint(i, kind, act, tgt) for i, kind in enumerate(kinds)]
-    return [make_row_checker(constraints, b) for b in Backend]
-
-
-def _compare(
-    events: tuple[Activity, ...],
-    kinds: tuple[TemplateKind, ...],
-    rows: _Rows,
-    out: list[Disagreement],
-) -> None:
-    trace = Trace(0, events)
-    index = index_positions(events)
-    direct, tree, dfa = (row(trace, index) for row in rows)
-    for kind, d, t, f in zip(kinds, direct, tree, dfa):
-        if d is not t or t is not f:
+    out: list[Disagreement] = []
+    while batch := [Trace(0, events) for events in itertools.islice(sweep, _BATCH)]:
+        # Per kind, the (direct, tree, dfa) verdict columns over the batch.
+        columns = list(zip(*(check_log(batch, constraints, b) for b in Backend)))
+        split = sorted(
+            (i, k)
+            for k, (direct, tree, dfa) in enumerate(columns)
+            if not direct == tree == dfa
+            for i, verdicts in enumerate(zip(direct, tree, dfa))
+            if len(set(verdicts)) > 1
+        )
+        for i, k in split:
+            d, t, f = (column[i] == 1 for column in columns[k])
             out.append(
                 Disagreement(
-                    kind=kind,
-                    trace=trace,
+                    kind=kinds[k],
+                    trace=batch[i],
                     verdicts={"direct": d, "tree": t, "dfa": f},
-                    factlog=write_factlog(EventLog([trace])),
+                    factlog=write_factlog(EventLog([batch[i]])),
                 )
             )
+    return out
 
 
 def exhaustive_check(
@@ -93,13 +89,11 @@ def exhaustive_check(
     if max_len < 0:
         raise ValueError(f"max_len must be 0 or more, got {max_len}")
     kinds = ALL_KINDS if kinds is None else tuple(kinds)
-    rows = _rows(kinds)
     symbols = (Activity("a"), Activity("b"), Activity("w"))
-    out: list[Disagreement] = []
-    for length in range(max_len + 1):
-        for events in itertools.product(symbols, repeat=length):
-            _compare(events, kinds, rows, out)
-    return out
+    sweep = itertools.chain.from_iterable(
+        itertools.product(symbols, repeat=length) for length in range(max_len + 1)
+    )
+    return _compare(sweep, kinds)
 
 
 def random_check(
@@ -117,12 +111,12 @@ def random_check(
     if n_samples < 0 or max_len < 0:
         raise ValueError(f"n_samples and max_len must be 0 or more, got {n_samples}, {max_len}")
     kinds = ALL_KINDS if kinds is None else tuple(kinds)
-    rows = _rows(kinds)
     symbols = (Activity("a"), Activity("b"), Activity("w"))
     rng = random.Random(seed)
-    out: list[Disagreement] = []
-    for _ in range(n_samples):
-        length = rng.randint(0, max_len)
-        events = tuple(rng.choice(symbols) for _ in range(length))
-        _compare(events, kinds, rows, out)
-    return out
+
+    def sweep() -> Iterator[tuple[Activity, ...]]:
+        for _ in range(n_samples):
+            length = rng.randint(0, max_len)
+            yield tuple(rng.choice(symbols) for _ in range(length))
+
+    return _compare(sweep(), kinds)

@@ -5,7 +5,6 @@ import json
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from declarekit import (
     Activity,
@@ -25,10 +24,13 @@ from declarekit import (
     to_facts_dict,
     to_facts_json,
 )
-from declarekit.ltlf import FALSE, TRUE, Atom
+from declarekit import automata
+from declarekit.automata import walk_log
+from declarekit.core import code_events
+from declarekit.ltlf import FALSE, TRUE
 
 from oracles import all_traces, assert_minimal, naive_eval
-from test_ltlf import _formulas
+from test_ltlf import _any_formula, sweep_with_empty_traces
 
 A, B, C = Activity("a"), Activity("b"), Activity("c")
 
@@ -113,10 +115,6 @@ def test_minimize_numbers_states_breadth_first():
         assert _breadth_first_order(dfa) == list(range(dfa.n_states))
 
 
-# All 12 operators over three atoms and both constants.
-_any_formula = st.recursive(
-    st.sampled_from([Atom(A), Atom(B), Atom(C), TRUE, FALSE]), _formulas, max_leaves=12
-)
 _ABCW_TRACES = tuple(all_traces(("a", "b", "c", "w"), 4))
 
 
@@ -139,24 +137,65 @@ _ABC_BASES = tuple(tr.events for tr in all_traces(("a", "b", "c"), 2))
 @example(parse_formula("G(a -> X b)"))
 @example(parse_formula("X(b U a) & Xw Xw !c"))
 @settings(max_examples=100, deadline=None)
-def test_walk_over_named_positions_matches_dense_walk(f):
-    """Runs of unnamed events longer than the automaton cross the wildcard
-    column whether or not it is a self-loop; events of atoms the formula
-    does not name are unnamed too."""
+def test_colored_walk_matches_dense_walk(f):
+    """One log walk of a formula's automaton and its complement, as one
+    colored product, gives each trace the dense walk's verdicts. Runs of
+    unnamed events are longer than the automaton, and events of atoms the
+    formula does not name are unnamed too."""
     dfa = minimize(compile_formula(f, state_budget=64))
     run = (Activity("w"),) * (dfa.n_states + 1)
-
-    def walks(events):
-        positions = [t for t, ev in enumerate(events) if ev in dfa.named]
-        got = dfa.accepts(events, positions)
-        assert got == dfa.accepts(events), (pretty(f), events)
-        return got
-
+    sweep = []
     for base in _ABC_BASES:
         for k in range(len(base) + 1):
-            events = base[:k] + run + base[k:]
-            assert walks(events) == naive_eval(f, Trace(0, events)), (pretty(f), events)
-        walks(run + tuple(x for ev in base for x in (ev, *run)))
+            sweep.append(base[:k] + run + base[k:])
+        sweep.append(run + tuple(x for ev in base for x in (ev, *run)))
+    traces = [Trace(i, events) for i, events in enumerate(sweep)]
+    accepted, rejected = walk_log(
+        (dfa, complement(dfa)), code_events(traces, (A, B, C, Activity("w")))
+    )
+    for i, trace in enumerate(traces):
+        want = dfa.accepts(trace.events)
+        assert (accepted[i], rejected[i]) == (want, not want), (pretty(f), trace.events)
+        assert want == naive_eval(f, trace), (pretty(f), trace.events)
+
+
+_PAIRS = ((A, B), (A, A), (B, A))
+
+
+def test_colored_products_match_each_automaton_on_every_short_trace():
+    """All 13 kinds at (a,b), (a,a) and (b,a) in one model, over one log of
+    every {a,b,w} trace up to length 8 with empty traces between them:
+    each product state's verdict tuple is the tuple of the automata's own
+    dense walks."""
+    dfas = [template_dfa(kind, x, y) for kind in TemplateKind for x, y in _PAIRS]
+    assert len({dfa.named for dfa in dfas}) == 2  # (a, b) and (b, a) share a product
+    traces = sweep_with_empty_traces(8)
+    verdicts = walk_log(dfas, code_events(traces, (A, B)))
+    for i, trace in enumerate(traces):
+        got = tuple(column[i] == 1 for column in verdicts)
+        assert got == tuple(dfa.accepts(trace.events) for dfa in dfas), trace.events
+
+
+def test_oversized_product_is_split(monkeypatch):
+    """A group whose product exceeds the state cap walks in parts, with the
+    same verdicts."""
+    dfas = [template_dfa(kind, x, y) for kind in TemplateKind for x, y in _PAIRS]
+    traces = sweep_with_empty_traces(5)
+    coded = code_events(traces, (A, B))
+    whole = walk_log(dfas, coded)
+    built = []
+    real = automata._colored_product
+
+    def recording(parts):
+        product = real(parts)
+        built.append((len(parts), product is None))
+        return product
+
+    monkeypatch.setattr(automata, "_PRODUCT_STATES", 4)
+    monkeypatch.setattr(automata, "_colored_product", recording)
+    assert walk_log(dfas, coded) == whole
+    assert (26, True) in built  # the (a, b) group, over the cap
+    assert max(size for size, failed in built if not failed) < 26
 
 
 def test_minimize_preserves_language():

@@ -111,6 +111,19 @@ def test_check_malformed_log_exits_two(workdir):
     assert "missing position" in out.stderr
 
 
+def test_huge_integer_in_lp_log_exits_two(workdir):
+    from test_ingest import huge_integer
+
+    (workdir / "huge.lp").write_text(f"trace(0,0,a).\ntrace({huge_integer()},0,a).\n")
+    for args in (
+        ("convert", "--in", "huge.lp", "--out", "huge.csv"),
+        ("check", "--log", "huge.lp", "--model", "model.lp"),
+    ):
+        out = run_cli(*args, cwd=workdir)
+        assert out.returncode == 2, args
+        assert "line 2: integer of" in out.stderr, args
+
+
 def test_unknown_backend_exits_three(workdir):
     out = run_cli(
         "check", "--log", "log.lp", "--model", "model.lp", "--backend", "magic",

@@ -3,6 +3,7 @@
 import gzip
 import json
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -83,6 +84,36 @@ def test_parse_factlog_duplicate_position():
 def test_parse_factlog_reports_line_numbers():
     with pytest.raises(IngestError) as err:
         parse_factlog("trace(0,0,a).\ntrace(0,1,).")
+    assert err.value.line == 2
+
+
+def huge_integer() -> str:
+    """Digits one past the interpreter's limit for int(), where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    return "1" * (limit + 1)
+
+
+@pytest.mark.parametrize(
+    "fact",
+    [
+        "trace({n},0,a).",  # as write_factlog spells facts
+        "trace(0,{n},a).",
+        "trace( {n} , 0, a ).",  # as only the scanner reads them
+    ],
+)
+def test_parse_factlog_huge_integer_names_its_line(fact):
+    n = huge_integer()
+    with pytest.raises(IngestError, match=f"integer of {len(n)} digits") as err:
+        parse_factlog("trace(0,0,a).\n" + fact.format(n=n) + "\n")
+    assert err.value.line == 2
+
+
+def test_parse_model_huge_integer_names_its_line():
+    n = huge_integer()
+    with pytest.raises(IngestError, match="too long") as err:
+        parse_model(f'constraint(0,"Response").\nbind({n},arg_0,a).\n')
     assert err.value.line == 2
 
 

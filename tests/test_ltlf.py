@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,8 @@ from declarekit import (
     pretty,
     template_formula,
 )
-from declarekit.core import index_positions
+from declarekit import ltlf
+from declarekit.core import code_events
 from declarekit.ltlf import (
     FALSE,
     TRUE,
@@ -45,8 +47,8 @@ from declarekit.ltlf import (
     WeakNext,
     WeakUntil,
     _plan,
+    eval_log,
     subformulas,
-    tree_row_checker,
 )
 
 from oracles import _sat, all_traces, naive_eval
@@ -186,6 +188,10 @@ def _formulas(children):
 
 
 formula_strategy = st.recursive(_atoms, _formulas, max_leaves=12)
+# All 12 operators over three atoms and both constants.
+_any_formula = st.recursive(
+    st.sampled_from([Atom(A), Atom(B), Atom(C), TRUE, FALSE]), _formulas, max_leaves=12
+)
 
 
 @given(formula_strategy)
@@ -429,10 +435,66 @@ def test_equal_formulas_share_one_root():
     assert slots[0][0] == slots[2][0]
     # Succession's first conjunct is Response: its step is Response's root.
     assert slots[1][1] == slots[0][0]
-    row = tree_row_checker((response, succession, response))
-    for trace in all_traces(("a", "b", "w"), 4):
+    traces = list(all_traces(("a", "b", "w"), 4))
+    verdicts = eval_log((response, succession, response), code_events(traces, (A, B)))
+    for i, trace in enumerate(traces):
         want = [naive_eval(f, trace) for f in (response, succession, response)]
-        assert row(trace, index_positions(trace.events)) == want, trace.events
+        assert [column[i] == 1 for column in verdicts] == want, trace.events
+
+
+def sweep_with_empty_traces(max_len):
+    """Every trace over {a, b, w} up to max_len, each followed by an empty one."""
+    empty = Trace(0, ())
+    return [t for trace in all_traces(("a", "b", "w"), max_len) for t in (trace, empty)]
+
+
+def test_log_evaluation_matches_oracle_on_every_short_trace(monkeypatch):
+    """All 13 kinds at (a,b), (a,a) and (b,a) as one plan, over one log of
+    every {a,b,w} trace up to length 8 with empty traces between them:
+    every verdict equals the formula oracle's."""
+    from oracles import _empty, desugar
+
+    formulas = [
+        template_formula(kind, x, y) for kind in TemplateKind for x, y in ((A, B), (A, A), (B, A))
+    ]
+    traces = sweep_with_empty_traces(8)
+    verdicts = eval_log(formulas, code_events(traces, (A, B)))
+    assert [len(column) for column in verdicts] == [len(traces)] * len(formulas)
+    # Equal subformulas of the oracle's cores become one object, so that
+    # the per-trace memo serves them once across all 39 formulas.
+    shared: dict = {}
+
+    def intern(g):
+        kids = tuple(intern(k) for k in g.children())
+        if isinstance(g, ltlf._Nary):
+            g = type(g)(kids)
+        elif kids:
+            g = type(g)(*kids)
+        return shared.setdefault(g, g)
+
+    cores = [intern(desugar(f)) for f in formulas]
+    for i, trace in enumerate(traces):
+        if trace.events:
+            sat = _memoize_sat(monkeypatch)
+            want = [sat(core, trace.events, 0) for core in cores]
+        else:
+            want = [_empty(core) for core in cores]
+        assert [column[i] == 1 for column in verdicts] == want, trace.events
+
+
+@given(
+    st.lists(_any_formula, min_size=1, max_size=3),
+    st.lists(st.lists(st.sampled_from("abcw"), max_size=8), max_size=12),
+    st.sampled_from([1, 2, 9, 1 << 11]),
+)
+@settings(max_examples=150, deadline=None)
+def test_log_evaluation_matches_oracle_on_random_logs(formulas, logs, block_digits):
+    """Any formulas on a random multi-trace log, in blocks of any size."""
+    traces = [Trace.from_labels(i, labels) for i, labels in enumerate(logs)]
+    with mock.patch.object(ltlf, "_BLOCK_DIGITS", block_digits):
+        verdicts = eval_log(formulas, code_events(traces, (A, B, C)))
+    for f, column in zip(formulas, verdicts):
+        assert [v == 1 for v in column] == [naive_eval(f, t) for t in traces], pretty(f)
 
 
 def test_tree_alternate_succession_is_linear_in_trace_length():

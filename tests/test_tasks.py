@@ -21,9 +21,11 @@ from declarekit import (
     Trace,
     Variable,
     check_direct,
+    check_log,
     conformance_check,
     eval_tree,
     make_checker,
+    pretty,
     query_check,
     support,
     template_dfa,
@@ -194,6 +196,30 @@ def test_replayed_kernel_entry_points_keep_working():
     assert template_dfa.cache_info().misses == before.misses
 
 
+def test_backends_agree_on_more_than_255_activities():
+    """A generated log over 300 activities and 150 constraints naming every
+    one of them: the tree plan has 300 atoms, more than one byte codes, and
+    each dfa product's table is 301 codes wide."""
+    from declarekit import generate_log
+    from declarekit.ltlf import Atom, _plan
+
+    acts = [Activity(f"a_{i}") for i in range(300)]
+    log = generate_log(Constraint(0, TemplateKind.RESPONSE, acts[0], acts[1]), 200, 40, 300, 11).log
+    assert len(log.alphabet) > 255
+    kinds = list(TemplateKind)
+    constraints = [
+        Constraint(i, kinds[i % len(kinds)], acts[2 * i], acts[2 * i + 1]) for i in range(150)
+    ]
+    formulas = tuple(template_formula(c.kind, c.activation, c.target) for c in constraints)
+    assert sum(op is Atom for op, _, _ in _plan(formulas)[0]) == 300
+    verdicts = [check_log(log.traces, constraints, backend) for backend in Backend]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert 0 < sum(map(sum, verdicts[0])) < len(log) * len(constraints)
+    for i, trace in enumerate(log.traces[:3]):
+        for j, f in enumerate(formulas):
+            assert verdicts[1][j][i] == naive_eval(f, trace), (trace.id, pretty(f))
+
+
 def test_support_is_exact_rational():
     log = _log("ab", "aw", "ww")
     con = Constraint(0, TemplateKind.RESPONSE, A, B)
@@ -293,11 +319,12 @@ def test_query_two_terms_match_formula_oracle(monkeypatch):
     """Answers and their order equal the formula oracle's, on every backend.
 
     Disjoint domains keep activation and target apart in both terms, where
-    the backends agree. Each trace is indexed once for the whole query,
-    not once per binding and term, on every backend.
+    the backends agree. direct indexes each trace once for the whole
+    query, not once per binding and term; tree and dfa index none.
     """
     import random
 
+    import declarekit.automata
     import declarekit.direct
     import declarekit.ltlf
     import declarekit.tasks
@@ -337,13 +364,16 @@ def test_query_two_terms_match_formula_oracle(monkeypatch):
         calls.append(len(events))
         return index_positions(events)
 
-    for module in (declarekit.tasks, declarekit.direct, declarekit.ltlf):
+    for module in (declarekit.tasks, declarekit.direct):
         monkeypatch.setattr(module, "index_positions", counting_index)
+    # tree and dfa check the whole log at once and index no trace.
+    assert not hasattr(declarekit.ltlf, "index_positions")
+    assert not hasattr(declarekit.automata, "index_positions")
     for backend in Backend:
         calls.clear()
         got = query_check(query, log, threshold, backend)
         assert [(a.binding, a.support) for a in got] == want, backend
-        assert len(calls) == len(log), backend
+        assert len(calls) == (len(log) if backend is Backend.DIRECT else 0), backend
 
 
 def test_query_respects_explicit_domains():
