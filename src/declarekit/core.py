@@ -6,6 +6,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 WILDCARD_LABEL = "*"
@@ -100,8 +101,7 @@ PositionIndex = dict[Activity, list[int]]
 
 
 def index_positions(events: tuple[Activity, ...]) -> PositionIndex:
-    """Index a trace in one pass, so that the checks of many constraints
-    on it share the index instead of each rescanning the events."""
+    """The ascending positions of each activity of a trace, in one pass."""
     index: PositionIndex = {}
     for t, ev in enumerate(events):
         pos = index.get(ev)
@@ -119,12 +119,23 @@ class CodedLog:
     Activity a is code `codes[a]`, 0 up to len(codes) - 1, and every other
     activity is code len(codes). `events` holds, trace after trace, the
     codes of a trace's events followed by len(codes) + 1, which ends the
-    trace; `lengths[i]` is the number of events of trace i.
+    trace; `lengths[i]` is the number of events of trace i. `text` and
+    `strings` spell the codes as characters, built on first use and kept.
     """
 
     codes: dict[Activity, int]
     events: list[int]
     lengths: list[int]
+
+    @cached_property
+    def text(self) -> str:
+        """`events` as a string of one character, chr(code), per code."""
+        return "".join(map(chr, self.events))
+
+    @cached_property
+    def strings(self) -> list[str]:
+        """Each trace as a string of one character, chr(code), per event."""
+        return self.text.split(chr(len(self.codes) + 1))[:-1]
 
 
 _END = (None,)  # stands for the code that ends a trace

@@ -1,19 +1,23 @@
-"""Direct constraint checking by positional occurrence scans.
+"""Direct constraint checking: each template's semantics as its own rule,
+with no formula and no automaton, under a strict reading in which
+Response(a, a) asks for a later a.
 
-Each template gets a dedicated rule over activation and target positions:
-no formula evaluation, no automaton, just ordered index walks. Verdicts
-carry failure positions with reason tags plus, for response-like kinds,
-a witness map from each activation to the position discharging it.
-Out-of-range bounds (before the first or after the last position) are
-explicit None values rather than sentinel integers.
+`scan_log` checks whole logs: each rule is a few string operations
+mapped over every trace, one character per event code. `check_direct`
+explains one constraint on one trace by ordered walks over activation
+and target positions: failure positions with reason tags plus, for
+response-like kinds, a witness map from each activation to the position
+discharging it. Positions out of range are None, not sentinel integers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from itertools import repeat
+from typing import Mapping, Sequence
 
-from .core import Constraint, PositionIndex, TemplateKind, Trace, index_positions
+from .core import CodedLog, Constraint, TemplateKind, Trace, index_positions
 from .ltlf import ev_empty, template_formula
 
 # Reason tags, stable for report consumers.
@@ -42,7 +46,7 @@ class DirectVerdict:
     whole-trace conditions. `witnesses` maps each discharged activation
     position to its witness position. `steps` counts rule iterations
     over the activation and target positions, linear in their number;
-    the position index, shared per trace, is not counted.
+    indexing the positions is not counted.
     """
 
     sat: bool
@@ -214,59 +218,9 @@ _RULES = {
 }
 
 
-def _rules_for(kind: TemplateKind):
-    rules = _RULES.get(kind)
-    if rules is None:
-        raise ValueError(f"unhandled template kind {kind!r}")
-    return rules
-
-
-def direct_checker(constraint: Constraint) -> Callable[..., bool]:
-    """Resolve the constraint's rules once; `holds(trace, index=None)` is
-    `check_direct(constraint, trace, index=index).sat`.
-
-    The same rule functions run, but no verdict is built, and a kind with
-    two rules stops after the first one that records a failure. `index`
-    is the trace's `index_positions`, shared by callers that check many
-    constraints on one trace; without it, holds builds it.
-    """
-    kind = constraint.kind
-    act = constraint.activation
-    tgt = constraint.target
-    rules = _rules_for(kind)
-    empty = ev_empty(template_formula(kind, act, tgt))
-
-    def holds(trace: Trace, index: PositionIndex | None = None) -> bool:
-        events = trace.events
-        if not events:
-            return empty
-        if index is None:
-            index = index_positions(events)
-        act_pos = index.get(act, ())
-        tgt_pos = index.get(tgt, ())
-        failures: list[Failure] = []
-        witnesses: dict[int, int] = {}
-        for rule in rules:
-            rule(events, act, tgt, act_pos, tgt_pos, failures, witnesses)
-            if failures:
-                return False
-        return True
-
-    return holds
-
-
-def check_direct(
-    constraint: Constraint,
-    trace: Trace,
-    *,
-    index: PositionIndex | None = None,
-) -> DirectVerdict:
-    """Evaluate one constraint on one trace by positional rules.
-
-    `index` is the trace's `index_positions`, shared by callers that
-    check many constraints on one trace; without it the index is built
-    here, in one pass over the events.
-    """
+def check_direct(constraint: Constraint, trace: Trace) -> DirectVerdict:
+    """Evaluate one constraint on one trace by positional rules, over an
+    index of the trace's positions built in one pass."""
     events = trace.events
     kind = constraint.kind
     act = constraint.activation
@@ -277,9 +231,10 @@ def check_direct(
         failures = () if sat else ((None, EMPTY_TRACE),)
         return DirectVerdict(sat=sat, failures=failures, witnesses={}, steps=0)
 
-    rules = _rules_for(kind)
-    if index is None:
-        index = index_positions(events)
+    rules = _RULES.get(kind)
+    if rules is None:
+        raise ValueError(f"unhandled template kind {kind!r}")
+    index = index_positions(events)
     act_pos = index.get(act, ())
     tgt_pos = index.get(tgt, ())
     failures: list[Failure] = []
@@ -297,3 +252,110 @@ def check_direct(
         witnesses=witnesses,
         steps=steps,
     )
+
+
+# --------------------------------------------------------------------------
+# Whole logs
+
+def _has(traces, x):
+    """Per trace, whether character x occurs in it."""
+    return map(operator.contains, traces, repeat(x))
+
+
+def _lacks(traces, x):
+    return map(operator.not_, _has(traces, x))
+
+
+def _log_response(traces, a, b):
+    """No activation after the last target."""
+    return _lacks(map(operator.itemgetter(2), map(str.rpartition, traces, repeat(b))), a)
+
+
+def _log_precedence(traces, a, b):
+    """No target before the first activation."""
+    return _lacks(map(operator.itemgetter(0), map(str.partition, traces, repeat(a))), b)
+
+
+def _unchained(traces, a, b):
+    """Each trace with every activation-target pair deleted."""
+    return map(str.replace, traces, repeat(a + b), repeat(""))
+
+
+def _log_chain_response(traces, a, b):
+    return _lacks(_unchained(traces, a, b), a)
+
+
+def _log_chain_precedence(traces, a, b):
+    return _lacks(_unchained(traces, a, b), b)
+
+
+def _log_chain_succession(traces, a, b):
+    rest = list(_unchained(traces, a, b))
+    return map(operator.and_, _lacks(rest, a), _lacks(rest, b))
+
+
+# Each kind's rule for an activation character a and a different target
+# character b: (traces, a, b) -> per trace, whether the constraint holds.
+# On the empty string each gives ev_empty's value for its kind.
+_LOG_RULES = {
+    _K.CHOICE: lambda t, a, b: map(operator.or_, _has(t, a), _has(t, b)),
+    _K.EXCLUSIVE_CHOICE: lambda t, a, b: map(operator.ne, _has(t, a), _has(t, b)),
+    _K.RESPONDED_EXISTENCE: lambda t, a, b: map(operator.le, _has(t, a), _has(t, b)),
+    _K.COEXISTENCE: lambda t, a, b: map(operator.eq, _has(t, a), _has(t, b)),
+    _K.RESPONSE: _log_response,
+    _K.PRECEDENCE: _log_precedence,
+    _K.SUCCESSION: lambda t, a, b: map(
+        operator.and_, _log_response(t, a, b), _log_precedence(t, a, b)
+    ),
+    _K.CHAIN_RESPONSE: _log_chain_response,
+    _K.CHAIN_PRECEDENCE: _log_chain_precedence,
+    _K.CHAIN_SUCCESSION: _log_chain_succession,
+    # The Alternate kinds are the Chain rules on the traces with every
+    # character other than a and b deleted.
+    _K.ALTERNATE_RESPONSE: _log_chain_response,
+    _K.ALTERNATE_PRECEDENCE: _log_chain_precedence,
+    _K.ALTERNATE_SUCCESSION: _log_chain_succession,
+}
+_ALTERNATE = frozenset((_K.ALTERNATE_RESPONSE, _K.ALTERNATE_PRECEDENCE, _K.ALTERNATE_SUCCESSION))
+
+# With activation equal to target, the strict reading depends only on
+# whether the activity occurs; kinds not listed hold when it does not.
+_SAME_RULES = {
+    _K.PRECEDENCE: lambda t, a: repeat(1, len(t)),
+    _K.ALTERNATE_PRECEDENCE: lambda t, a: repeat(1, len(t)),
+    _K.RESPONDED_EXISTENCE: lambda t, a: repeat(1, len(t)),
+    _K.COEXISTENCE: lambda t, a: repeat(1, len(t)),
+    _K.EXCLUSIVE_CHOICE: lambda t, a: repeat(0, len(t)),
+    _K.CHOICE: _has,
+}
+
+
+def scan_log(constraints: Sequence[Constraint], coded: CodedLog) -> list[bytearray]:
+    """Every constraint's verdict on every trace of a coded log, under
+    the same strict reading as `check_direct`.
+
+    Every activity the constraints name must be among the coded ones.
+    `verdicts[j][i]` is 1 when constraints[j] holds on trace i and 0
+    otherwise. Each rule runs over `coded.strings` as a few maps of
+    string operations, and the Alternate kinds delete the other codes
+    once per (activation, target) pair.
+    """
+    traces = coded.strings
+    kept: dict[tuple[str, str], list[str]] = {}
+    verdicts = []
+    for c in constraints:
+        a, b = chr(coded.codes[c.activation]), chr(coded.codes[c.target])
+        if a == b:
+            holds = _SAME_RULES.get(c.kind, _lacks)(traces, a)
+        elif c.kind in _ALTERNATE:
+            pair = kept.get((a, b))
+            if pair is None:
+                others = dict.fromkeys(range(len(coded.codes) + 1))
+                del others[ord(a)], others[ord(b)]
+                end = chr(len(coded.codes) + 1)
+                pair = kept[a, b] = coded.text.translate(others).split(end)[:-1]
+            holds = _LOG_RULES[c.kind](pair, a, b)
+        else:
+            holds = _LOG_RULES[c.kind](traces, a, b)
+        verdicts.append(bytearray(holds))
+    return verdicts

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, Trace
 
@@ -506,7 +508,8 @@ def parse_csv(source) -> EventLog:
     An os.PathLike is read as a file; an object with .read() is read;
     anything else, a str naming a file included, is the document itself.
     Rows are grouped by case id; numeric ids are kept, otherwise ids
-    become 0.. in first-appearance order. With a position column, rows
+    become 0.. in first-appearance order. A case id of digits too long
+    for int() is an IngestError naming its first row. With a position column, rows
     may arrive shuffled and are ordered by their positions, which must
     not repeat within a case.
     """
@@ -520,6 +523,7 @@ def parse_csv(source) -> EventLog:
 def _parse_csv_text(text: str) -> EventLog:
     reader = csv.reader(io.StringIO(text, newline=""))
     cases: dict[str, list] = {}  # case id -> activities, or (position, activity)
+    first_lines: dict[str, int] = {}  # case id -> the line of its first row
     try:
         header = next(reader, None)
         if header is None:
@@ -551,6 +555,7 @@ def _parse_csv_text(text: str) -> EventLog:
             entries = cases.get(case)
             if entries is None:
                 entries = cases[case] = []
+                first_lines[case] = line
             if with_pos:
                 try:
                     entries.append((int(row[2]), act))
@@ -562,11 +567,15 @@ def _parse_csv_text(text: str) -> EventLog:
         raise IngestError(f"malformed CSV: {exc}", reader.line_num) from None
     del reader  # its StringIO holds a copy of the whole text
 
-    try:
-        ids = [int(case) for case in cases]
-        if any(i < 0 for i in ids):
-            raise ValueError
-    except ValueError:
+    ids = []
+    for case, line in first_lines.items():
+        try:
+            ids.append(int(case))
+        except ValueError:
+            if case.isascii() and case.isdigit():  # longer than the interpreter converts
+                raise IngestError(_too_long(case), line) from None
+            ids.append(-1)
+    if any(i < 0 for i in ids):
         ids = list(range(len(cases)))
     if len(set(ids)) != len(ids):
         raise IngestError("case ids collide once read as numbers")
@@ -612,7 +621,25 @@ def _json_block(brackets: str, items: list[str], indent: str) -> str:
     return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
 
 
-def _report_json(report: CheckReport, tids, cids, log_name: str, model_name: str) -> str:
+def _report_rows(report: CheckReport) -> tuple[list[int], Iterable[tuple[int, tuple[int, ...]]]]:
+    """The constraint ids in ascending order, and per trace in ascending
+    id order its id and its verdicts (1 or 0) in that constraint order.
+
+    The verdict columns are transposed once; a matrix that is not a view
+    over columns is read into columns first.
+    """
+    tids, cids = report.trace_ids, report.constraint_ids
+    columns = getattr(report.matrix, "columns", None)
+    if columns is None:
+        columns = [bytes(report.matrix[tid, cid] for tid in tids) for cid in cids]
+    order = sorted(range(len(cids)), key=cids.__getitem__)
+    rows = zip(tids, zip(*[columns[j] for j in order]) if order else repeat(()))
+    if any(map(operator.gt, tids, tids[1:])):
+        rows = sorted(rows)  # ids are unique, so they alone decide the order
+    return [cids[j] for j in order], rows
+
+
+def _report_json(report: CheckReport, log_name: str, model_name: str) -> str:
     """The text json.dumps(doc, indent=2) gives for the report document,
     and a line end.
 
@@ -623,15 +650,12 @@ def _report_json(report: CheckReport, tids, cids, log_name: str, model_name: str
     copies of the matrix text are alive at a time.
     """
     enc = encode_basestring_ascii
-    cells = [
-        (cid, (f"      {enc(str(cid))}: false", f"      {enc(str(cid))}: true"))
-        for cid in cids
-    ]
-    matrix = report.matrix
+    cids, verdicts = _report_rows(report)
+    pairs = [(f"      {enc(str(cid))}: false", f"      {enc(str(cid))}: true") for cid in cids]
     rows = ",\n".join([
         f"    {enc(str(tid))}: "
-        + _json_block("{}", [pair[matrix[tid, cid]] for cid, pair in cells], "    ")
-        for tid in tids
+        + _json_block("{}", list(map(operator.getitem, pairs, bits)), "    ")
+        for tid, bits in verdicts
     ])
     supports = [
         f"    {enc(str(cid))}: {enc(_fraction_str(report.supports[cid]))}" for cid in cids
@@ -665,19 +689,15 @@ def write_report(
     are exact rationals rendered as "p/q". The CSV form is a matrix with
     one row per trace plus a compliant column.
     """
-    tids = sorted(report.trace_ids)
-    cids = sorted(report.constraint_ids)
     if format == "json":
-        return _report_json(report, tids, cids, log_name, model_name).encode("ascii")
+        return _report_json(report, log_name, model_name).encode("ascii")
     if format == "csv":
+        cids, verdicts = _report_rows(report)
+        compliant = report.compliant
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["trace_id", *(str(cid) for cid in cids), "compliant"])
-        for tid in tids:
-            row = [tid]
-            row.extend(int(report.matrix[(tid, cid)]) for cid in cids)
-            row.append(int(tid in report.compliant))
-            writer.writerow(row)
+        writer.writerows((tid, *bits, int(tid in compliant)) for tid, bits in verdicts)
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {format!r}; use json or csv")
 

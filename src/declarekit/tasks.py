@@ -3,20 +3,22 @@
 Three interchangeable backends produce identical verdicts whenever a
 constraint's activation and target differ: positional rules (direct),
 formula evaluation (tree), and compiled automata (dfa). Every task gets
-its verdicts from `check_log`, one call per log: direct checks trace by
-trace over a per-trace position index, while tree and dfa check the
-whole log at a time over events coded once as small integers. Supports
+its verdicts from `check_log`, one call per log: each event is coded once
+as a small integer and every backend checks the whole log at a time.
+Verdicts stay in per-constraint columns up to the report, and supports
 are exact rationals over the number of traces.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .automata import template_dfa, walk_log
 from .core import (
@@ -28,9 +30,8 @@ from .core import (
     TemplateKind,
     Trace,
     code_events,
-    index_positions,
 )
-from .direct import direct_checker
+from .direct import scan_log
 from .ltlf import eval_log, template_formula
 
 
@@ -60,21 +61,12 @@ def check_log(
     """Every constraint's verdict on every trace: `verdicts[j][i]` is 1
     when constraints[j] holds on traces[i] and 0 otherwise.
 
-    direct checks one trace at a time, its constraints sharing the trace's
-    `index_positions`. tree and dfa code each event once and check the
-    whole log at a time: tree evaluates one plan holding each distinct
-    subformula once per block of traces, and dfa walks one colored
-    product automaton per group of constraints over the same activities.
+    Each event is coded once and every backend checks the whole log at a
+    time: direct maps each constraint's rule over the traces as strings
+    of codes, tree evaluates one plan holding each distinct subformula
+    once per block of traces, and dfa walks one colored product
+    automaton per group of constraints over the same activities.
     """
-    if backend is Backend.DIRECT:
-        checkers = [direct_checker(c) for c in constraints]
-        verdicts = [bytearray(len(traces)) for _ in checkers]
-        for i, trace in enumerate(traces):
-            # One position index per trace, shared by its constraints.
-            index = index_positions(trace.events)
-            for column, holds in zip(verdicts, checkers):
-                column[i] = holds(trace, index)
-        return verdicts
     named = (a for c in constraints for a in (c.activation, c.target))
     return _check_coded(code_events(traces, named), constraints, backend)
 
@@ -82,8 +74,10 @@ def check_log(
 def _check_coded(
     coded: CodedLog, constraints: Sequence[Constraint], backend: Backend
 ) -> list[bytearray]:
-    """`check_log` for tree or dfa, on a log coded by `code_events` with
-    every activity the constraints name among the coded ones."""
+    """`check_log` on a log coded by `code_events` with every activity
+    the constraints name among the coded ones."""
+    if backend is Backend.DIRECT:
+        return scan_log(constraints, coded)
     if backend is Backend.TREE:
         formulas = [template_formula(c.kind, c.activation, c.target) for c in constraints]
         return eval_log(formulas, coded)
@@ -93,18 +87,60 @@ def _check_coded(
     raise ValueError(f"unhandled backend {backend!r}")
 
 
+def _every(columns: Sequence[bytearray], n: int) -> int:
+    """The bytewise AND of verdict columns over n traces, as a big
+    integer: byte i is 1 when every column holds on trace i. Verdicts are
+    bytes 0 and 1, so its bit count is the number of such traces."""
+    columns = map(int.from_bytes, columns, itertools.repeat("big"))
+    return functools.reduce(operator.and_, columns, int.from_bytes(b"\1" * n, "big"))
+
+
 def make_checker(constraint: Constraint, backend: Backend) -> Callable[[Trace], bool]:
     """One constraint on one trace at a time: `checker(trace) -> bool`."""
-    if backend is Backend.DIRECT:
-        return direct_checker(constraint)
     return lambda trace: check_log((trace,), (constraint,), backend)[0][0] == 1
+
+
+class VerdictMatrix(Mapping[tuple[int, int], bool]):
+    """A read-only view of verdict columns as (trace id, constraint id)
+    -> bool.
+
+    `columns[j][i]` is 1 when constraint_ids[j] holds on trace_ids[i] and
+    0 otherwise. Keys run constraint by constraint, each over the traces
+    in order; the view equals the dict of the same cells.
+    """
+
+    __slots__ = ("trace_ids", "constraint_ids", "columns", "_rows", "_cols")
+
+    def __init__(
+        self, trace_ids: tuple[int, ...], constraint_ids: tuple[int, ...],
+        columns: Sequence[bytearray],
+    ):
+        self.trace_ids = trace_ids
+        self.constraint_ids = constraint_ids
+        self.columns = columns
+        self._rows = {tid: i for i, tid in enumerate(trace_ids)}
+        self._cols = {cid: j for j, cid in enumerate(constraint_ids)}
+
+    def __getitem__(self, key: tuple[int, int]) -> bool:
+        try:
+            tid, cid = key
+            return self.columns[self._cols[cid]][self._rows[tid]] == 1
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __len__(self) -> int:
+        return len(self._rows) * len(self._cols)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((tid, cid) for cid in self.constraint_ids for tid in self.trace_ids)
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Conformance result: per-(trace, constraint) verdicts plus rollups.
 
-    `matrix` maps (trace id, constraint id) to satisfaction; `compliant`
+    `matrix` maps (trace id, constraint id) to satisfaction, as a
+    `VerdictMatrix` from `conformance_check`; `compliant`
     holds ids of traces satisfying every constraint; `supports` maps each
     constraint id to its exact satisfaction rate over the log.
     """
@@ -124,30 +160,25 @@ def conformance_check(
 ) -> CheckReport:
     """Check every trace against every constraint.
 
-    One `check_log` call gives each constraint's verdicts on the whole
-    log; the matrix, compliant set and supports are read off them.
+    One `check_log` call gives each constraint's verdict column on the
+    whole log; the matrix is a view over the columns, and the compliant
+    set and supports are read off them.
     """
-    ids = [c.id for c in model.constraints]
-    verdicts = check_log(log.traces, model.constraints, backend)
+    ids = tuple(c.id for c in model.constraints)
+    columns = check_log(log.traces, model.constraints, backend)
     trace_ids = tuple(tr.id for tr in log.traces)
     n = len(trace_ids)
 
-    matrix: dict[tuple[int, int], bool] = {}
-    supports = {}
-    # Verdicts are bytes 0 and 1, so the bytewise AND of all columns, taken
-    # as big integers, marks the traces on which every constraint holds.
-    every = int.from_bytes(b"\1" * n, "big")
-    for j, cid in enumerate(ids):
-        column, verdicts[j] = verdicts[j], None  # dropped once read
-        matrix.update(zip(zip(trace_ids, itertools.repeat(cid)), map(bool, column)))
-        supports[cid] = Fraction(sum(column), n) if n else Fraction(0)
-        every &= int.from_bytes(column, "big")
-    compliant = itertools.compress(trace_ids, every.to_bytes(n, "big"))
+    supports = {
+        cid: Fraction(column.count(1), n) if n else Fraction(0)
+        for cid, column in zip(ids, columns)
+    }
+    compliant = itertools.compress(trace_ids, _every(columns, n).to_bytes(n, "big"))
     return CheckReport(
         backend=backend,
         trace_ids=trace_ids,
-        constraint_ids=tuple(ids),
-        matrix=matrix,
+        constraint_ids=ids,
+        matrix=VerdictMatrix(trace_ids, ids, columns),
         compliant=frozenset(compliant),
         supports=supports,
     )
@@ -233,11 +264,10 @@ def query_check(
 
     The threshold is a rational in (0, 1]; a binding is kept when at most
     floor((1 - threshold) * |log|) traces violate its instantiation,
-    which is exactly support >= threshold. On the direct backend a
-    binding is dropped as soon as it exceeds that violation budget; tree
-    and dfa check each binding on the whole log at once, over events
-    coded once for the whole query. Answers come sorted by
-    descending support, then by binding labels in variable-name order.
+    which is exactly support >= threshold. Events are coded once for the
+    whole query, and every backend checks each binding on the whole log
+    at once. Answers come sorted by descending support, then by binding
+    labels in variable-name order.
     """
     s = Fraction(threshold)
     if not (0 < s <= 1):
@@ -256,18 +286,9 @@ def query_check(
     n = len(log)
     max_violations = math.floor((1 - s) * n)
     answers: list[QueryAnswer] = []
-    if backend is Backend.DIRECT:
-        # One position index per trace, shared by every term of every
-        # binding. They live for the whole query: about 64 bytes per event,
-        # less than loading the log peaked at, where indexing per binding
-        # would repeat the work once per binding.
-        indexed = [(trace, index_positions(trace.events)) for trace in log.traces]
-    else:
-        # Each event coded once for the whole query; every binding checks
-        # the whole log at once.
-        named = [a for term in query.terms for a in (term.activation, term.target)
-                 if isinstance(a, Activity)]
-        coded = code_events(log.traces, itertools.chain(named, *domains))
+    named = [a for term in query.terms for a in (term.activation, term.target)
+             if isinstance(a, Activity)]
+    coded = code_events(log.traces, itertools.chain(named, *domains))
 
     for combo in itertools.product(*domains):
         binding = dict(zip(variables, combo))
@@ -279,17 +300,7 @@ def query_check(
             Constraint(i, term.kind, fill(term.activation), fill(term.target))
             for i, term in enumerate(query.terms)
         ]
-        if backend is Backend.DIRECT:
-            # A binding stops at the first trace over its violation budget.
-            checkers = [direct_checker(c) for c in constraints]
-            violations = 0
-            for trace, index in indexed:
-                if not all(holds(trace, index) for holds in checkers):
-                    violations += 1
-                    if violations > max_violations:
-                        break
-        else:
-            violations = n - sum(map(all, zip(*_check_coded(coded, constraints, backend))))
+        violations = n - _every(_check_coded(coded, constraints, backend), n).bit_count()
         if violations <= max_violations:
             answers.append(
                 QueryAnswer(binding=binding, support=Fraction(n - violations, n))

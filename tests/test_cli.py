@@ -124,6 +124,20 @@ def test_huge_integer_in_lp_log_exits_two(workdir):
         assert "line 2: integer of" in out.stderr, args
 
 
+def test_huge_case_id_in_csv_log_exits_two(workdir):
+    from test_ingest import huge_integer
+
+    (workdir / "huge.csv").write_text(f"case_id,activity\n7,a\n{huge_integer()},b\n")
+    for args in (
+        ("convert", "--in", "huge.csv", "--out", "huge.lp"),
+        ("check", "--log", "huge.csv", "--model", "model.lp"),
+    ):
+        out = run_cli(*args, cwd=workdir)
+        assert out.returncode == 2, args
+        assert "line 3: integer of" in out.stderr, args
+    assert not (workdir / "huge.lp").exists()
+
+
 def test_unknown_backend_exits_three(workdir):
     out = run_cli(
         "check", "--log", "log.lp", "--model", "model.lp", "--backend", "magic",

@@ -3,17 +3,21 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declarekit import (
     Activity,
+    Backend,
     Constraint,
     TemplateKind,
     Trace,
     check_direct,
+    check_log,
     eval_tree,
+    make_checker,
     template_formula,
 )
-from declarekit.core import index_positions
 from declarekit.direct import (
     ACTIVATION_NOT_FOLLOWED_BY_TARGET,
     ACTIVATION_WITHOUT_ALTERNATING_TARGET,
@@ -24,7 +28,6 @@ from declarekit.direct import (
     OCCURS_WITHOUT_COUNTERPART,
     TARGET_AT_START,
     TARGET_BEFORE_ACTIVATION,
-    direct_checker,
 )
 
 from oracles import all_traces
@@ -124,24 +127,50 @@ def test_agrees_with_formula_on_exhaustive_grid():
             assert check_direct(con, trace).sat == eval_tree(f, trace), (kind, trace)
 
 
-def test_direct_checker_equals_check_direct_verdict():
-    """The compiled checker gives check_direct's .sat on every trace up to length 7.
+def test_log_kernel_matches_check_direct_on_every_short_trace():
+    """The log kernel gives check_direct's .sat on every {a,b,w} trace up
+    to length 8, each followed by an empty trace, checked as one log.
 
-    Both slot bindings are covered, so the strict Response(a,a) reading
-    holds for the checker too, with and without a shared index, and the
-    empty trace is the first trace checked.
+    All 13 kinds at (a,b), (a,a) and (b,a) form one model, so the strict
+    Response(a,a) reading holds for the kernel too, and empty traces sit
+    between traces of every length.
     """
-    traces = [(tr, index_positions(tr.events)) for tr in all_traces(("a", "b", "w"), 7)]
-    assert not traces[0][0].events
-    for kind in TemplateKind:
-        for tgt in (B, A):
-            con = _con(kind, A, tgt)
-            holds = direct_checker(con)
-            for trace, index in traces:
-                want = check_direct(con, trace).sat
-                assert holds(trace) == want, (kind, tgt, trace)
-                assert holds(trace, index) == want, (kind, tgt, trace)
-    assert not direct_checker(_con(TemplateKind.RESPONSE, A, A))(Trace.from_labels(0, "a"))
+    empty = Trace(0, ())
+    traces = [tr for trace in all_traces(("a", "b", "w"), 8) for tr in (trace, empty)]
+    model = [
+        _con(kind, act, tgt, cid)
+        for cid, (kind, (act, tgt)) in enumerate(
+            itertools.product(TemplateKind, ((A, B), (A, A), (B, A)))
+        )
+    ]
+    verdicts = check_log(traces, model, Backend.DIRECT)
+    for con, column in zip(model, verdicts):
+        want = [check_direct(con, trace).sat for trace in traces[::2]]
+        assert list(column[::2]) == want, con
+        assert set(column[1::2]) == {check_direct(con, empty).sat}, con
+    assert not make_checker(_con(TemplateKind.RESPONSE, A, A), Backend.DIRECT)(
+        Trace.from_labels(0, "a")
+    )
+
+
+_SPELLINGS = st.lists(st.text(alphabet="abcxy", max_size=12), min_size=1, max_size=12)
+# Activation and target are sometimes equal and sometimes absent from a trace.
+_KERNEL_SPECS = st.lists(
+    st.tuples(st.sampled_from(list(TemplateKind)), st.sampled_from("abcxyz"),
+              st.sampled_from("abcxyz")),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spellings=_SPELLINGS, specs=_KERNEL_SPECS)
+def test_log_kernel_matches_check_direct_on_random_logs(spellings, specs):
+    traces = [Trace.from_labels(i, s) for i, s in enumerate(spellings)]
+    model = [_con(kind, Activity(a), Activity(b), cid) for cid, (kind, a, b) in enumerate(specs)]
+    verdicts = check_log(traces, model, Backend.DIRECT)
+    for con, column in zip(model, verdicts):
+        assert list(column) == [check_direct(con, trace).sat for trace in traces], con
 
 
 def test_reflexive_response_uses_strict_future():

@@ -1,5 +1,6 @@
 """Tests for the log, model, query, and report readers and writers."""
 
+import dataclasses
 import gzip
 import json
 import random
@@ -108,6 +109,20 @@ def test_parse_factlog_huge_integer_names_its_line(fact):
     with pytest.raises(IngestError, match=f"integer of {len(n)} digits") as err:
         parse_factlog("trace(0,0,a).\n" + fact.format(n=n) + "\n")
     assert err.value.line == 2
+
+
+def test_parse_csv_huge_case_id_names_its_row():
+    """A case id of digits int() cannot convert is an error, not a reason to
+    renumber every case; ids that are not numbers still renumber."""
+    n = huge_integer()
+    with pytest.raises(IngestError, match=f"integer of {len(n)} digits") as err:
+        parse_csv(f"case_id,activity\n7,a\n{n},b\n3,c\n{n},d\n")
+    assert err.value.line == 3
+    with pytest.raises(IngestError) as err:
+        parse_csv(f"case_id,activity\nx,a\n{n},b\n")
+    assert err.value.line == 3
+    assert [tr.id for tr in parse_csv("case_id,activity\n7,a\n3,c\n")] == [3, 7]
+    assert [tr.id for tr in parse_csv("case_id,activity\n7,a\nx,b\n3,c\n")] == [0, 1, 2]
 
 
 def test_parse_model_huge_integer_names_its_line():
@@ -598,6 +613,29 @@ def test_report_json_bytes_match_json_dumps():
     assert write_report(report, "csv") == b"trace_id,1,3,compliant\n2,0,0,0\n5,0,1,0\n9,0,0,0\n"
     report = conformance_check(*cases["empty model"])
     assert b'"supports": {}\n}\n' in write_report(report, "json")
+
+
+def _reference_report_csv(report):
+    """The CSV report written cell by cell: the oracle for write_report."""
+    tids = sorted(report.trace_ids)
+    cids = sorted(report.constraint_ids)
+    lines = [",".join(["trace_id", *map(str, cids), "compliant"])]
+    for tid in tids:
+        cells = [int(report.matrix[tid, cid]) for cid in cids]
+        lines.append(",".join(map(str, [tid, *cells, int(tid in report.compliant)])))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_report_csv_bytes_match_cell_by_cell_writer():
+    """Ids out of order in the log and the model; a report whose matrix is
+    a plain dict writes the same bytes as the view over the columns."""
+    log, model = _seeded_log_and_model(12)
+    for backend in Backend:
+        report = conformance_check(log, model, backend)
+        plain = dataclasses.replace(report, matrix=dict(report.matrix))
+        for r in (report, plain):
+            assert write_report(r, "csv") == _reference_report_csv(report), backend
+        assert write_report(plain, "json") == write_report(report, "json"), backend
 
 
 def test_load_save_dispatch_by_suffix(tmp_path):

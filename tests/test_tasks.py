@@ -84,6 +84,33 @@ def test_conformance_matrix_and_compliant_set():
     assert report.supports == {0: Fraction(2, 3), 1: Fraction(2, 3)}
 
 
+def test_matrix_is_a_read_only_view_of_its_cells():
+    """The matrix reads as the dict of its cells: equality both ways, keys
+    constraint by constraint over the traces in log order, len, and a
+    KeyError for an unknown trace or constraint or a malformed key."""
+    log = EventLog((Trace.from_labels(5, "ab"), Trace.from_labels(2, "ba"), Trace(9, ())))
+    model = DeclareModel((
+        Constraint(3, TemplateKind.RESPONSE, A, B),
+        Constraint(1, TemplateKind.CHOICE, A, B),
+    ))
+    cells = {(5, 3): True, (2, 3): False, (9, 3): True, (5, 1): True, (2, 1): True, (9, 1): False}
+    for backend in Backend:
+        matrix = conformance_check(log, model, backend).matrix
+        assert matrix == cells and cells == matrix, backend
+        assert matrix != {**cells, (9, 1): True}
+        assert list(matrix.items()) == list(cells.items())
+        assert len(matrix) == len(cells)
+        assert all(type(v) is bool for v in matrix.values())
+        for key in ((7, 3), (5, 0), (3, 5), (5,), "x", None):
+            with pytest.raises(KeyError):
+                matrix[key]
+            assert key not in matrix
+        with pytest.raises(TypeError):
+            matrix[5, 3] = False
+    empty = conformance_check(log, DeclareModel(()), Backend.DIRECT).matrix
+    assert empty == {} and len(empty) == 0 and list(empty) == []
+
+
 def test_conformance_identical_across_backends():
     log = _log("abab", "aabc", "bcab", "", "wawb")
     model = DeclareModel(
@@ -198,9 +225,11 @@ def test_replayed_kernel_entry_points_keep_working():
 
 def test_backends_agree_on_more_than_255_activities():
     """A generated log over 300 activities and 150 constraints naming every
-    one of them: the tree plan has 300 atoms, more than one byte codes, and
-    each dfa product's table is 301 codes wide."""
+    one of them: the tree plan has 300 atoms, more than one byte codes,
+    each dfa product's table is 301 codes wide, and direct's trace strings
+    hold characters past chr(255)."""
     from declarekit import generate_log
+    from declarekit.core import code_events
     from declarekit.ltlf import Atom, _plan
 
     acts = [Activity(f"a_{i}") for i in range(300)]
@@ -212,6 +241,8 @@ def test_backends_agree_on_more_than_255_activities():
     ]
     formulas = tuple(template_formula(c.kind, c.activation, c.target) for c in constraints)
     assert sum(op is Atom for op, _, _ in _plan(formulas)[0]) == 300
+    named = (a for c in constraints for a in (c.activation, c.target))
+    assert max("".join(code_events(log.traces, named).strings)) > chr(255)
     verdicts = [check_log(log.traces, constraints, backend) for backend in Backend]
     assert verdicts[0] == verdicts[1] == verdicts[2]
     assert 0 < sum(map(sum, verdicts[0])) < len(log) * len(constraints)
@@ -319,8 +350,8 @@ def test_query_two_terms_match_formula_oracle(monkeypatch):
     """Answers and their order equal the formula oracle's, on every backend.
 
     Disjoint domains keep activation and target apart in both terms, where
-    the backends agree. direct indexes each trace once for the whole
-    query, not once per binding and term; tree and dfa index none.
+    the backends agree. Every backend checks the whole log at once over
+    events coded once, and indexes no trace.
     """
     import random
 
@@ -364,16 +395,15 @@ def test_query_two_terms_match_formula_oracle(monkeypatch):
         calls.append(len(events))
         return index_positions(events)
 
-    for module in (declarekit.tasks, declarekit.direct):
-        monkeypatch.setattr(module, "index_positions", counting_index)
-    # tree and dfa check the whole log at once and index no trace.
-    assert not hasattr(declarekit.ltlf, "index_positions")
-    assert not hasattr(declarekit.automata, "index_positions")
+    # Only check_direct, the one-trace explainer, indexes positions.
+    monkeypatch.setattr(declarekit.direct, "index_positions", counting_index)
+    for module in (declarekit.tasks, declarekit.ltlf, declarekit.automata):
+        assert not hasattr(module, "index_positions"), module
     for backend in Backend:
         calls.clear()
         got = query_check(query, log, threshold, backend)
         assert [(a.binding, a.support) for a in got] == want, backend
-        assert len(calls) == (len(log) if backend is Backend.DIRECT else 0), backend
+        assert calls == [], backend
 
 
 def test_query_respects_explicit_domains():

@@ -1,5 +1,6 @@
 """Tests for the backend cross-validation harness."""
 
+import itertools
 import json
 
 import pytest
@@ -68,10 +69,10 @@ def test_planted_split_verdict_is_reported(monkeypatch):
     """A direct Response rule that never fails splits direct from tree and
     dfa on exactly the traces that violate Response, in canonical order."""
 
-    def never_fails(events, act, tgt, act_pos, tgt_pos, failures, witnesses):
-        return 0
+    def never_fails(traces, act, tgt):
+        return itertools.repeat(True, len(traces))
 
-    monkeypatch.setitem(direct._RULES, TemplateKind.RESPONSE, (never_fails,))
+    monkeypatch.setitem(direct._LOG_RULES, TemplateKind.RESPONSE, never_fails)
     out = exhaustive_check(max_len=4)
 
     response = template_formula(TemplateKind.RESPONSE, Activity("a"), Activity("b"))
