@@ -6,7 +6,7 @@ quoted labels, or one-level calls like var(y). Identifiers starting with
 a lowercase letter are written bare; anything else is quoted. The
 wildcard label "*" is rejected everywhere. XES support covers the
 concept:name subset, gzipped or plain; CSV carries case_id, activity,
-and an optional position column.
+and an optional position column, and any columns after them are ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -507,11 +507,11 @@ def parse_csv(source) -> EventLog:
 
     An os.PathLike is read as a file; an object with .read() is read;
     anything else, a str naming a file included, is the document itself.
-    Rows are grouped by case id; numeric ids are kept, otherwise ids
-    become 0.. in first-appearance order. A case id of digits too long
-    for int() is an IngestError naming its first row. With a position column, rows
-    may arrive shuffled and are ordered by their positions, which must
-    not repeat within a case.
+    Every row has one field per header column. Rows are grouped by case
+    id; numeric ids are kept, otherwise ids become 0.. in first-appearance
+    order. A case id of digits too long for int() is an IngestError naming
+    its first row. With a position column, rows may arrive shuffled and
+    are ordered by their positions, which must not repeat within a case.
     """
     if isinstance(source, os.PathLike):
         source = _read_text(source)
@@ -521,6 +521,117 @@ def parse_csv(source) -> EventLog:
 
 
 def _parse_csv_text(text: str) -> EventLog:
+    """A document with no quote, CR or NUL is read a chunk at a time; the
+    row reader reads every other one, and every one that the chunk reader
+    cannot vouch for, so its errors and their lines are the row reader's."""
+    if '"' not in text and "\r" not in text and "\0" not in text:
+        log = _parse_csv_chunks(text)
+        if log is not None:
+            return log
+    return _parse_csv_rows(text)
+
+
+# Characters of text per chunk of _parse_csv_chunks, which also takes the
+# rest of the line that the chunk ends in.
+_CSV_CHUNK = 1 << 16
+# Positions below this bound, spelled as write_csv spells them, are read
+# from a table, about four times as fast as by int(), which reads the rest.
+_SMALL_POSITIONS = 1024
+
+
+def _parse_csv_chunks(text: str) -> EventLog | None:
+    """The log of a CSV document with no quote, CR or NUL, read as columns,
+    or None when a row may be faulty or only the row reader can read it:
+    - a line without one field per header column, or with an empty case id
+    - a label that Activity refuses
+    - a position that is no integer, or that does not grow within its case
+    - case ids that are not all distinct non-negative integers
+    - a line longer than csv.field_size_limit()
+
+    Each chunk of lines is split once, with a field that holds just the
+    line end after each line, so the fields of column j are every step-th
+    field from the j-th. Each run of rows of one case is appended to that
+    case's events at once.
+    """
+    limit = csv.field_size_limit()
+    nl = text.find("\n")
+    head = text if nl < 0 else text[:nl]
+    header = head.split(",")
+    if header[:2] != ["case_id", "activity"] or len(head) > limit:
+        return None
+    k = len(header)
+    step = k + 1  # the fields of a line, and the "\n" field after them
+    with_pos = k >= 3 and header[2] == "position"
+    small_positions = {str(p): p for p in range(_SMALL_POSITIONS)} if with_pos else {}
+    acts: dict[str, Activity] = {}
+    cases: dict[str, list[Activity]] = {}
+    last: dict[str, int] = {}  # case id -> its last position so far
+    at, end = len(head) + 1, len(text)
+    while at < end:
+        cut = text.find("\n", at + _CSV_CHUNK)
+        cut = end if cut < 0 else cut + 1
+        chunk = text[at:cut]
+        at = cut
+        if chunk[0] == "\n" or chunk[-1] != "\n" or "\n\n" in chunk:
+            # Blank lines hold no row; every line of the chunk ends in "\n".
+            chunk = "".join(line + "\n" for line in chunk.split("\n") if line)
+            if not chunk:
+                continue
+        if len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit:
+            return None
+        fields = chunk.replace("\n", ",\n,").split(",")
+        lines = chunk.count("\n")
+        # Each line holds k fields exactly when every step-th field is a "\n".
+        if len(fields) != lines * step + 1 or fields[k::step].count("\n") != lines:
+            return None
+        ids = fields[0:-1:step]
+        if "" in ids:
+            return None
+        labels = fields[1::step]
+        for label in set(labels).difference(acts):
+            try:
+                acts[label] = Activity(label)
+            except ValueError:
+                return None
+        events = list(map(acts.__getitem__, labels))
+        starts = compress(range(1, lines), map(operator.ne, islice(ids, 1, None), ids))
+        bounds = [0, *starts, lines]
+        if with_pos:
+            column = fields[2::step]
+            try:
+                pos = list(map(small_positions.__getitem__, column))
+            except KeyError:  # a position past the table, or spelled otherwise
+                try:
+                    pos = list(map(int, column))
+                except ValueError:
+                    return None
+            # Positions grow within a run, so they may fall only where one starts.
+            falls = compress(range(1, lines), map(operator.ge, pos, islice(pos, 1, None)))
+            if not set(bounds).issuperset(falls):
+                return None
+        for s, e in zip(bounds, islice(bounds, 1, None)):
+            case = ids[s]
+            got = cases.get(case)
+            if got is None:
+                cases[case] = events[s:e]
+            elif with_pos and pos[s] <= last[case]:
+                return None
+            else:
+                got += events[s:e]
+            if with_pos:
+                last[case] = pos[e - 1]
+    try:
+        tids = list(map(int, cases))
+    except ValueError:
+        return None
+    if len(set(tids)) != len(tids) or min(tids, default=0) < 0:
+        return None
+    traces = map(Trace, tids, map(tuple, cases.values()))
+    return EventLog(sorted(traces, key=operator.attrgetter("id")))
+
+
+def _parse_csv_rows(text: str) -> EventLog:
+    """The log of any CSV document, read row by row by csv.reader."""
     reader = csv.reader(io.StringIO(text, newline=""))
     cases: dict[str, list] = {}  # case id -> activities, or (position, activity)
     first_lines: dict[str, int] = {}  # case id -> the line of its first row
@@ -531,7 +642,7 @@ def _parse_csv_text(text: str) -> EventLog:
         if header[:2] != ["case_id", "activity"]:
             raise IngestError("CSV header must start with case_id,activity", 1)
         with_pos = len(header) >= 3 and header[2] == "position"
-        expected = 3 if with_pos else 2
+        expected = len(header)
         acts: dict[str, Activity] = {}
         # A quoted field may span lines: a row starts on the line after the
         # last line of the row before it.
@@ -707,7 +818,8 @@ def write_report(
 
 def _read_text(path) -> str:
     # newline="" here and in save_log: "\r" and "\r\n" inside labels survive.
-    with open(path, encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write one.
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return fh.read()
 
 

@@ -15,9 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .core import Activity, Constraint, EventLog, TemplateKind, Trace
+from .core import Activity, Constraint, EventLog, TemplateKind, Trace, code_events
 from .ingest import write_factlog
-from .tasks import Backend, check_log
+from .tasks import Backend, _check_coded
 
 ALL_KINDS: tuple[TemplateKind, ...] = tuple(TemplateKind)
 
@@ -54,8 +54,10 @@ def _compare(
     constraints = [Constraint(i, kind, act, tgt) for i, kind in enumerate(kinds)]
     out: list[Disagreement] = []
     while batch := [Trace(0, events) for events in itertools.islice(sweep, _BATCH)]:
-        # Per kind, the (direct, tree, dfa) verdict columns over the batch.
-        columns = list(zip(*(check_log(batch, constraints, b) for b in Backend)))
+        # Per kind, the (direct, tree, dfa) verdict columns over the batch,
+        # whose events are coded once for all three backends.
+        coded = code_events(batch, (act, tgt))
+        columns = list(zip(*(_check_coded(coded, constraints, b) for b in Backend)))
         split = sorted(
             (i, k)
             for k, (direct, tree, dfa) in enumerate(columns)

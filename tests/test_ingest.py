@@ -1,5 +1,6 @@
 """Tests for the log, model, query, and report readers and writers."""
 
+import csv
 import dataclasses
 import gzip
 import json
@@ -493,6 +494,162 @@ def test_csv_nonnumeric_case_ids_enumerated():
 def test_write_csv_refuses_empty_traces():
     with pytest.raises(IngestError, match="no events"):
         write_csv(_log("ab", ""))
+
+
+def test_parse_csv_ignores_columns_after_the_ones_it_reads():
+    text = "case_id,activity,timestamp\n3,a,2024-01-01\n3,b,2024-01-02\n1,c,2024-01-03"
+    assert parse_csv(text) == EventLog((Trace.from_labels(1, "c"), Trace.from_labels(3, "ab")))
+    text = "case_id,activity,position,resource\n3,b,1,ann\n3,a,0,bob\n"
+    assert parse_csv(text) == EventLog((Trace.from_labels(3, "ab"),))
+
+
+def test_parse_csv_rows_must_be_as_wide_as_the_header():
+    header = "case_id,activity,position,extra\n"
+    for text in (header + "0,a,0\n", header + '0,"a",0\n'):
+        with pytest.raises(IngestError, match="expected 4 columns, found 3") as err:
+            parse_csv(text)
+        assert err.value.line == 2
+
+
+def test_load_log_skips_a_byte_order_mark(tmp_path):
+    log = _log("abc", "ba")
+    for name, text in (("bom.csv", write_csv(log)), ("bom.lp", write_factlog(log))):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_log(path) == log, name
+    model = DeclareModel([Constraint(0, TemplateKind.RESPONSE, A, B)])
+    path = tmp_path / "model.lp"
+    path.write_bytes(b"\xef\xbb\xbf" + write_model(model).encode("utf-8"))
+    assert load_model(path) == model
+
+
+_CSV_HEADERS = [
+    "case_id,activity,position",
+    "case_id,activity",
+    "case_id,activity,timestamp",
+    "case_id,activity,position,extra",
+    "case_id,activity,extra,position",
+    "case,activity,position",
+]
+_CSV_IDS = ["0", "1", "2", "3", "17", "+1", " 1", "01", "-2", "x", "case 9"]
+_CSV_CELLS = ["a", "b", "c", "a b", " a", "é", " "]
+# Cells that spoil a row, or that only the row reader reads.
+_CSV_ODD_CELLS = ["*", "", '"q"', '"a,b"']
+_CSV_POSITIONS = ["0", "1", "x", "", "-1", " 2", "+3", "01", "5000"]
+
+
+@st.composite
+def _csv_documents(draw):
+    """A CSV log document, mostly well formed: cases interleave in runs,
+    and a few draws shuffle or swap rows, repeat or spoil positions, spoil,
+    quote or lengthen a cell, widen or narrow a row, add blank lines, end
+    lines in CR LF or drop the final line end."""
+    header = draw(st.sampled_from(_CSV_HEADERS))
+    columns = header.split(",")
+    ids = draw(st.lists(st.sampled_from(_CSV_IDS), min_size=1, max_size=4, unique=True))
+    # Runs of rows of one case; a case's positions count up over its rows.
+    runs = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 4)), max_size=5))
+    cells = st.sampled_from(_CSV_CELLS)
+    seen = dict.fromkeys(ids, 0)
+    rows = []
+    for case in (case for case, length in runs for _ in range(length)):
+        row = [case, draw(cells), str(seen[case])] + [draw(cells) for _ in columns[3:]]
+        seen[case] += 1
+        rows.append(row[: max(len(columns), 2)])
+    if rows and draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        if not rows:
+            break
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        faults = ["swap", "position", "case", "cell", "long", "wider", "narrower"]
+        fault = draw(st.sampled_from(faults))
+        if fault == "swap":
+            rows[at - 1], rows[at] = row, rows[at - 1]
+        elif fault == "position" and len(row) > 2:
+            row[2] = draw(st.sampled_from(_CSV_POSITIONS))
+        elif fault == "case":
+            row[0] = draw(st.sampled_from(_CSV_IDS + [""]))
+        elif fault == "cell" and len(row) > 1:
+            row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(_CSV_ODD_CELLS))
+        elif fault == "long":
+            row[-1] = "y" * 41
+        elif fault == "wider":
+            row.append("z")
+        elif len(row) > 1:
+            row.pop()
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=_csv_documents(),
+    chunk=st.sampled_from([1, 3, 16, 1 << 16]),
+    limit=st.sampled_from([None, 40]),
+)
+@example(text="case_id,activity,position\n0,a,0\n0,b,0\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity,position\n0,a,0\n1,b,0\n0,c,0\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity,position\n0,a,0\n1,b,0\n0,c,0\n", chunk=1, limit=None)
+@example(text="case_id,activity,position\n0,b,1\n0,a,0\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity,position\n0,a,1\n1,b,0\n0,c,0\n", chunk=1, limit=None)
+@example(text="case_id,activity,position\n0,a,0\n0,b,01\n0,c,+2\n0,d,7\n", chunk=1, limit=None)
+@example(text="case_id,activity\n0,a\n0," + "x" * 131_073 + "\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity," + "x" * 131_073 + "\n0,a,b\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity\n0,a\n0," + "y" * 41 + "\n", chunk=1 << 16, limit=40)
+@example(text="case_id,activity\n\n3,a\n\n\n1,b\n3,c", chunk=3, limit=None)
+@example(text="case_id,activity,timestamp\n3,a,2024\n3,b,2025\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity,position,extra\n3,a,0\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity\n1,a\n+1,b\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity\n1,a\nx,b\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity\n1,a\n-1,b\n", chunk=1 << 16, limit=None)
+@example(text="\ufeffcase_id,activity\n1,a\n", chunk=1 << 16, limit=None)
+@example(text="case_id,activity\n1,a\r\n2,b\r\n", chunk=1 << 16, limit=None)
+@example(text='case_id,activity\n1,"a\nb"\n', chunk=1 << 16, limit=None)
+@example(text="case_id,activity\n1,*\n", chunk=1 << 16, limit=None)
+@example(text="", chunk=1 << 16, limit=None)
+def test_chunk_reader_reads_what_the_row_reader_reads(text, chunk, limit):
+    """Every document gives the same log, or the same error on the same line,
+    as the row reader gives, whatever the chunk size and field limit."""
+    saved_chunk, saved_limit = ingest._CSV_CHUNK, csv.field_size_limit()
+    ingest._CSV_CHUNK = chunk
+    csv.field_size_limit(limit or saved_limit)
+    try:
+        expected = _outcome(ingest._parse_csv_rows, text)
+        assert _outcome(ingest._parse_csv_text, text) == expected
+    finally:
+        ingest._CSV_CHUNK = saved_chunk
+        csv.field_size_limit(saved_limit)
+
+
+def test_chunk_reader_reads_canonical_documents_alone(monkeypatch):
+    """A document as write_csv writes it, or as a spreadsheet exports it with
+    rows in order, never reaches the row reader, whatever the chunk size."""
+    def row_reader(text):
+        raise AssertionError("the chunk reader handed a canonical document to the row reader")
+
+    rng = random.Random(7)
+    labels = ["a", "b", "c_1", "order paid", "é"]
+    traces = [
+        Trace.from_labels(tid, rng.choices(labels, k=rng.randint(1, 1100)))
+        for tid in sorted(rng.sample(range(10_000), 40))
+    ]
+    log = EventLog(traces)
+    text = write_csv(log)
+    assert '"' not in text
+    exported = "case_id,activity,timestamp\n" + "".join(
+        f"{tr.id},{act.label},t{pos}\n" for tr in traces for pos, act in enumerate(tr.events)
+    )
+    monkeypatch.setattr(ingest, "_parse_csv_rows", row_reader)
+    for chunk in (1, 100, 1 << 16):
+        monkeypatch.setattr(ingest, "_CSV_CHUNK", chunk)
+        assert parse_csv(text) == log
+        assert parse_csv(exported) == log
+        assert parse_csv(text.rstrip("\n")) == log
 
 
 # --------------------------------------------------------------------------
