@@ -230,7 +230,7 @@ def compile_formula(f: Formula, *, state_budget: int = 4096) -> Dfa:
 
 
 # --------------------------------------------------------------------------
-# Minimization and boolean combinations
+# Minimization and complement
 
 def minimize(dfa: Dfa) -> Dfa:
     """Language-preserving reduction to the least total DFA.
@@ -295,35 +295,6 @@ def complement(dfa: Dfa) -> Dfa:
     return Dfa(named=dfa.named, moves=dfa.moves, initial=dfa.initial, accepting=rejected)
 
 
-def product(left: Dfa, right: Dfa) -> Dfa:
-    """Synchronous product over a shared alphabet: the intersection."""
-    if left.named != right.named:
-        raise ValueError("product requires identical named symbol tuples")
-    width = len(left.named) + 1
-    start = (left.initial, right.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    pairs = [start]
-    rows: list[tuple[int, ...]] = []
-    qi = 0
-    while qi < len(pairs):
-        l, r = pairs[qi]
-        qi += 1
-        row = []
-        for col in range(width):
-            succ = (left.moves[l][col], right.moves[r][col])
-            nxt = ids.get(succ)
-            if nxt is None:
-                nxt = len(pairs)
-                ids[succ] = nxt
-                pairs.append(succ)
-            row.append(nxt)
-        rows.append(tuple(row))
-    accepting = frozenset(
-        i for (l, r), i in ids.items() if l in left.accepting and r in right.accepting
-    )
-    return Dfa(named=left.named, moves=tuple(rows), initial=0, accepting=accepting)
-
-
 # --------------------------------------------------------------------------
 # Colored automata: automata over one alphabet walk a log together
 
@@ -333,14 +304,13 @@ _PRODUCT_STATES = 512
 
 
 def _colored_product(
-    dfas: Sequence[Dfa],
+    dfas: Sequence[Dfa], limit: int | None
 ) -> tuple[list[list[int]], list[tuple[bool, ...]]] | None:
     """The synchronous product of automata over one alphabet, breadth first.
 
     Returns (moves, colors): state 0 is initial, moves[s][col] is as in
     `Dfa.moves`, and colors[s] tells which of `dfas` accept in state s.
-    Returns None when two or more automata reach over _PRODUCT_STATES
-    states.
+    Returns None when two or more automata reach over `limit` states.
     """
     width = len(dfas[0].named) + 1
     start = tuple(d.initial for d in dfas)
@@ -353,7 +323,7 @@ def _colored_product(
             succ = tuple([d.moves[s][col] for d, s in zip(dfas, state)])
             nxt = ids.get(succ)
             if nxt is None:
-                if len(states) == _PRODUCT_STATES and len(dfas) > 1:
+                if len(states) == limit and len(dfas) > 1:
                     return None
                 nxt = ids[succ] = len(states)
                 states.append(succ)
@@ -361,6 +331,15 @@ def _colored_product(
         moves.append(row)
     colors = [tuple([s in d.accepting for d, s in zip(dfas, state)]) for state in states]
     return moves, colors
+
+
+def product(*dfas: Dfa) -> Dfa:
+    """Synchronous product over a shared alphabet: the intersection."""
+    if not dfas or any(d.named != dfas[0].named for d in dfas):
+        raise ValueError("product requires identical named symbol tuples")
+    moves, colors = _colored_product(dfas, None)
+    accepting = frozenset(s for s, color in enumerate(colors) if all(color))
+    return Dfa(named=dfas[0].named, moves=tuple(map(tuple, moves)), initial=0, accepting=accepting)
 
 
 def walk_log(dfas: Sequence[Dfa], coded: CodedLog) -> list[bytearray]:
@@ -380,7 +359,7 @@ def walk_log(dfas: Sequence[Dfa], coded: CodedLog) -> list[bytearray]:
     parts = list(groups.values())
     while parts:
         members = parts.pop()
-        built = _colored_product([dfas[j] for j in members])
+        built = _colored_product([dfas[j] for j in members], _PRODUCT_STATES)
         if built is None:
             half = len(members) // 2
             parts += (members[:half], members[half:])

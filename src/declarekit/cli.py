@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: check, query, compile, validate, generate, bench, convert.
+Subcommands: check, query, compile, validate, generate, convert.
 Exit codes: 0 on success (constraint violations are data, not errors),
 1 when validate finds backend disagreements, 2 on malformed input
 documents, 3 on invalid arguments.
@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,32 +23,15 @@ if TYPE_CHECKING:
 
 # The other modules load on first use (PEP 562), so each command pays only
 # for the modules it runs: convert never loads a backend, and compile loads
-# no reader. Commands reach these names through the module, where they can
-# be replaced; the benchmark's span recorder (perfbench/traced.py) wraps
-# them there.
-_DEFERRED = {
-    name: module
-    for module, names in {
-        "automata": ("compile_formula", "minimize", "to_dot", "to_facts_json"),
-        "ingest": (
-            "IngestError", "load_log", "load_model", "load_query", "save_log",
-            "write_factlog", "write_report",
-        ),
-        "loggen": ("generate_log", "write_label_manifest"),
-        "ltlf": ("FormulaSyntaxError", "parse_formula", "pretty", "template_formula"),
-        "tasks": ("Backend", "Query", "QueryTerm", "Variable", "conformance_check", "query_check"),
-        "xcheck": ("exhaustive_check", "random_check"),
-    }.items()
-    for name in names
-}
-
-
+# no reader. A name the package exports resolves as the package resolves
+# it. Commands reach these names through the module, where they can be
+# replaced; the benchmark's span recorder (perfbench/traced.py) wraps them
+# there.
 def __getattr__(name: str):
-    module = _DEFERRED.get(name)
-    if module is None:
+    package = sys.modules[__package__]
+    if name not in package._ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"declarekit.{module}"), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -147,13 +129,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--alphabet", type=int, default=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="factlog path; labels go to <out>.labels.csv")
-
-    p = sub.add_parser("bench", help="time conformance checking per backend")
-    p.add_argument("--log", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--backends", default="direct,tree,dfa")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--out", help="write task,backend,run,elapsed_ms rows")
 
     p = sub.add_parser("convert", help="transcode a log between formats")
     p.add_argument("--in", dest="src", required=True)
@@ -291,32 +266,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import statistics
-
-    log = _module.load_log(args.log)
-    model = _module.load_model(args.model)
-    backends = [_module.Backend.from_name(b.strip()) for b in args.backends.split(",") if b.strip()]
-    if not backends:
-        raise ValueError("no backends requested")
-    if args.repeat < 1:
-        raise ValueError("--repeat must be at least 1")
-    task = Path(args.model).stem
-    rows = ["task,backend,run,elapsed_ms"]
-    for backend in backends:
-        timings = []
-        for run in range(args.repeat):
-            started = time.perf_counter()
-            _module.conformance_check(log, model, backend)
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            timings.append(elapsed_ms)
-            rows.append(f"{task},{backend.value},{run},{elapsed_ms:.3f}")
-        print(f"{backend.value}: median {statistics.median(timings):.3f} ms over {args.repeat} runs")
-    if args.out:
-        Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return 0
-
-
 def _cmd_convert(args) -> int:
     log = _module.load_log(args.src)
     _module.save_log(log, args.dst)
@@ -330,7 +279,6 @@ _COMMANDS = {
     "compile": _cmd_compile,
     "validate": _cmd_validate,
     "generate": _cmd_generate,
-    "bench": _cmd_bench,
     "convert": _cmd_convert,
 }
 

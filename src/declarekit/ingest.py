@@ -67,10 +67,15 @@ def _unescape(tok: str) -> str:
     return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
+# A byte-order mark, as spreadsheet exports write one; readers skip it
+# where a document starts.
+_BOM = "\ufeff"
+
+
 class _FactScanner:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = 1 if text.startswith(_BOM) else 0
         self._mark = self._newlines = 0  # newlines before offset _mark
         # Lines end in "\n" or "\r\n", or in "\r" in a file that has no "\n".
         self._eol = "\r" if "\r" in text and "\n" not in text else "\n"
@@ -556,7 +561,7 @@ def _parse_csv_chunks(text: str) -> EventLog | None:
     limit = csv.field_size_limit()
     nl = text.find("\n")
     head = text if nl < 0 else text[:nl]
-    header = head.split(",")
+    header = head.removeprefix(_BOM).split(",")
     if header[:2] != ["case_id", "activity"] or len(head) > limit:
         return None
     k = len(header)
@@ -631,10 +636,16 @@ def _parse_csv_chunks(text: str) -> EventLog | None:
 
 
 def _parse_csv_rows(text: str) -> EventLog:
-    """The log of any CSV document, read row by row by csv.reader."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    """The log of any CSV document, read row by row by csv.reader. Of
+    several faults, the one on the earliest line is reported."""
+    buffer = io.StringIO(text, newline="")
+    if text.startswith(_BOM):
+        buffer.read(1)
+    reader = csv.reader(buffer)
     cases: dict[str, list] = {}  # case id -> activities, or (position, activity)
     first_lines: dict[str, int] = {}  # case id -> the line of its first row
+    faults: list[IngestError] = []
+    with_pos = False
     try:
         header = next(reader, None)
         if header is None:
@@ -675,32 +686,63 @@ def _parse_csv_rows(text: str) -> EventLog:
             else:
                 entries.append(act)
     except csv.Error as exc:
-        raise IngestError(f"malformed CSV: {exc}", reader.line_num) from None
-    del reader  # its StringIO holds a copy of the whole text
+        faults.append(IngestError(f"malformed CSV: {exc}", reader.line_num))
+    except IngestError as exc:
+        faults.append(exc)
+    del reader, buffer  # the StringIO holds a copy of the whole text
 
+    # Faults that only the rows read together show. The row of a repeated
+    # position is found by reading the document again, so a document that
+    # loads pays nothing for it.
     ids = []
     for case, line in first_lines.items():
         try:
             ids.append(int(case))
         except ValueError:
             if case.isascii() and case.isdigit():  # longer than the interpreter converts
-                raise IngestError(_too_long(case), line) from None
+                faults.append(IngestError(_too_long(case), line))
             ids.append(-1)
     if any(i < 0 for i in ids):
         ids = list(range(len(cases)))
     if len(set(ids)) != len(ids):
-        raise IngestError("case ids collide once read as numbers")
+        seen: set[int] = set()
+        for tid, line in zip(ids, first_lines.values()):
+            if tid in seen:  # the first row of the later case
+                faults.append(IngestError("case ids collide once read as numbers", line))
+                break
+            seen.add(tid)
 
     traces = []
     for tid, (case, entries) in zip(ids, cases.items()):
         if with_pos:
             if len({pos for pos, _ in entries}) != len(entries):
-                raise IngestError(f"case {case!r} repeats a position")
+                faults.append(_repeated_position(text))
+                break
             entries.sort()  # positions are unique, so they alone decide the order
             entries = [act for _, act in entries]
         traces.append(Trace(tid, tuple(entries)))
+    if faults:
+        raise min(faults, key=lambda exc: exc.line or 0)
     traces.sort(key=lambda tr: tr.id)
     return EventLog(traces)
+
+
+def _repeated_position(text: str) -> IngestError:
+    """The fault of the first row that repeats a position of its case; the
+    rows before it must be well formed, as _parse_csv_rows read them."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    seen = set()
+    end = reader.line_num
+    for row in reader:
+        line = end + 1
+        end = reader.line_num
+        if row:
+            key = (row[0], int(row[2]))
+            if key in seen:
+                return IngestError(f"case {row[0]!r} repeats a position", line)
+            seen.add(key)
+    raise AssertionError("no row repeats a position")
 
 
 def write_csv(log: EventLog) -> str:
@@ -818,8 +860,7 @@ def write_report(
 
 def _read_text(path) -> str:
     # newline="" here and in save_log: "\r" and "\r\n" inside labels survive.
-    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write one.
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 

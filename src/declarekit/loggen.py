@@ -43,9 +43,11 @@ def build_generator(constraint: Constraint, alphabet_size: int, positive: bool =
         )
     if not positive:
         base = complement(base)
-    combined = product(base, _occurrence_dfa(constraint.activation, base.named))
-    combined = product(combined, _occurrence_dfa(constraint.target, base.named))
-    return minimize(combined)
+    return minimize(product(
+        base,
+        _occurrence_dfa(constraint.activation, base.named),
+        _occurrence_dfa(constraint.target, base.named),
+    ))
 
 
 def generator_alphabet(named: tuple[Activity, ...], alphabet_size: int) -> tuple[Activity, ...]:

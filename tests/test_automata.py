@@ -186,8 +186,8 @@ def test_oversized_product_is_split(monkeypatch):
     built = []
     real = automata._colored_product
 
-    def recording(parts):
-        product = real(parts)
+    def recording(parts, limit):
+        product = real(parts, limit)
         built.append((len(parts), product is None))
         return product
 
@@ -232,12 +232,14 @@ def test_complement_flips_every_verdict():
 
 
 def test_product_is_intersection():
-    left = template_dfa(TemplateKind.RESPONSE, A, B)
-    right = template_dfa(TemplateKind.PRECEDENCE, A, B)
-    both = product(left, right)
-    for tr in all_traces(("a", "b", "w"), 4):
-        expected = left.accepts(tr.events) and right.accepts(tr.events)
-        assert both.accepts(tr.events) == expected
+    response = template_dfa(TemplateKind.RESPONSE, A, B)
+    precedence = template_dfa(TemplateKind.PRECEDENCE, A, B)
+    chain = complement(template_dfa(TemplateKind.CHAIN_RESPONSE, A, B))
+    for dfas in ((response, precedence), (response, precedence, chain)):
+        both = product(*dfas)
+        for tr in all_traces(("a", "b", "w"), 4):
+            expected = all(d.accepts(tr.events) for d in dfas)
+            assert both.accepts(tr.events) == expected, (len(dfas), tr.events)
 
 
 def test_succession_dfa_equals_product_of_sides():

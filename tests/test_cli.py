@@ -275,23 +275,24 @@ def test_validate_rejects_negative_counts(workdir, flag):
     assert out.stdout == ""
 
 
-def test_bench_writes_csv(workdir):
-    out = run_cli(
-        "bench", "--log", "log.lp", "--model", "model.lp",
-        "--backends", "direct,dfa", "--repeat", "2", "--out", "bench.csv",
-        cwd=workdir,
-    )
-    assert out.returncode == 0
-    rows = (workdir / "bench.csv").read_text().strip().split("\n")
-    assert rows[0] == "task,backend,run,elapsed_ms"
-    assert len(rows) == 5
-    assert rows[1].startswith("model,direct,0,")
-    assert rows[4].startswith("model,dfa,1,")
-
-
 def test_no_subcommand_exits_three():
     out = run_cli()
     assert out.returncode == 3
+    # `bench` is gone; check's summary line carries the elapsed time.
+    out = run_cli("bench", "--log", "log.lp", "--model", "model.lp")
+    assert out.returncode == 3
+    assert "invalid choice: 'bench'" in out.stderr
+
+
+def test_cli_resolves_the_names_the_package_exports():
+    from declarekit import cli, ingest
+
+    assert cli.load_log is ingest.load_log
+    assert not hasattr(cli, "__path__")
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+    with pytest.raises(AttributeError):
+        cli.automata  # a submodule the package resolves, but no exported name
 
 
 IMPORT_SCOPE = """

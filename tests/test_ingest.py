@@ -122,6 +122,9 @@ def test_parse_csv_huge_case_id_names_its_row():
     with pytest.raises(IngestError) as err:
         parse_csv(f"case_id,activity\nx,a\n{n},b\n")
     assert err.value.line == 3
+    with pytest.raises(IngestError, match=f"integer of {len(n)} digits") as err:
+        parse_csv(f"case_id,activity\n{n},a\n0,*\n")  # before a row fault
+    assert err.value.line == 2
     assert [tr.id for tr in parse_csv("case_id,activity\n7,a\n3,c\n")] == [3, 7]
     assert [tr.id for tr in parse_csv("case_id,activity\n7,a\nx,b\n3,c\n")] == [0, 1, 2]
 
@@ -521,6 +524,18 @@ def test_load_log_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "model.lp"
     path.write_bytes(b"\xef\xbb\xbf" + write_model(model).encode("utf-8"))
     assert load_model(path) == model
+    # Text and file objects carry the mark too, once decoded as plain UTF-8.
+    assert parse_csv("\ufeff" + write_csv(log)) == log
+    with open(tmp_path / "bom.csv", encoding="utf-8", newline="") as fh:
+        assert parse_csv(fh) == log
+    assert parse_factlog("\ufeff" + write_factlog(log)) == log
+    assert parse_model("\ufeff" + write_model(model)) == model
+    query = 'constraint(0,"Response"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).'
+    assert parse_query("\ufeff" + query) == parse_query(query)
+    # A mark anywhere else is no space: it stays an error with its line.
+    with pytest.raises(IngestError) as err:
+        parse_factlog("trace(0,0,a).\n\ufefftrace(0,1,b).")
+    assert err.value.line == 2
 
 
 _CSV_HEADERS = [
@@ -649,6 +664,7 @@ def test_chunk_reader_reads_canonical_documents_alone(monkeypatch):
         monkeypatch.setattr(ingest, "_CSV_CHUNK", chunk)
         assert parse_csv(text) == log
         assert parse_csv(exported) == log
+        assert parse_csv("\ufeff" + exported) == log  # with a byte-order mark
         assert parse_csv(text.rstrip("\n")) == log
 
 
@@ -874,14 +890,27 @@ def test_cr_and_crlf_files_keep_error_line_numbers(tmp_path):
 
 
 def test_parse_csv_errors_name_the_physical_line():
-    """A quoted label may span lines; errors name the line a row starts on."""
+    """A quoted label may span lines; errors name the line a row starts on.
+    A repeated position names the repeating row, and colliding case ids the
+    first row of the later case; the earliest fault wins, a row fault after
+    it included."""
     quoted = 'case_id,activity\n0,"a\nb"\n'
+    header = "case_id,activity,position\n"
     cases = [
         (quoted + "0,b,9\n", "expected 2 columns", 4),
         (quoted + ",b\n", "empty case id", 4),
         (quoted + "0,*\n", "reserved", 4),
         ('case_id,activity,position\n0,"a\nb"\n', "expected 3 columns", 2),
         ('case_id,activity,position\n0,"a\r\nb",0\r\n\r\n0,b,x\r\n', "bad position", 5),
+        (header + "0,a,0\n0,b,0\n", "case '0' repeats a position", 3),
+        ("case_id,activity\n1,a\n01,b\n", "case ids collide", 3),
+        (header + "0,a,0\n1,b,0\n0,c,1\n1,d,0\n0,e,1\n", "case '1' repeats a position", 5),
+        (header + "1,a,0\n1,b,0\n01,c,0\n", "case '1' repeats a position", 3),
+        (header + "1,a,0\n01,c,0\n1,b,0\n", "case ids collide", 3),
+        (header + "0,a,0\n0,b,0\n0,*,1\n", "repeats a position", 3),
+        (header + "0,a,0\n0,*,1\n0,b,0\n", "reserved", 3),
+        (header + "0,a,0\n0,b,0\n0,c,x\n", "repeats a position", 3),
+        ("case_id,activity\n1,a\n01,b\n1,c,d\n", "case ids collide", 3),
     ]
     for text, message, line in cases:
         with pytest.raises(IngestError, match=message) as err:

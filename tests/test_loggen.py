@@ -1,5 +1,6 @@
 """Tests for synthetic log generation by counting-based uniform sampling."""
 
+import hashlib
 import itertools
 import math
 
@@ -16,6 +17,7 @@ from declarekit import (
     generate_log,
     generator_alphabet,
     sample_trace,
+    write_factlog,
     write_label_manifest,
 )
 from declarekit.loggen import GeneratorError, mix_seed
@@ -124,6 +126,27 @@ def test_generate_log_is_reproducible():
     other = generate_log(con, 10, 8, 4, seed=4)
     assert one.log == two.log
     assert one.log != other.log
+
+
+# SHA-256 of write_factlog(generate_log(kind(a_0, a_1), 20, 10, 5, seed=7).log)
+_PINNED_LOGS = {
+    TemplateKind.RESPONSE: "4882cca1c6c3c637d09760badc9891b620403d57f1275e4d1bb89f9ce7ff7f85",
+    TemplateKind.PRECEDENCE: "d0ad0d5d5b7d7cd961ea191875ba4eec6d6e0865aea8e70bf87bb02c70d36a6a",
+    TemplateKind.ALTERNATE_RESPONSE: "12c2277bc451c350e13f2c2fc87478ac86ac3e776dca795305f66af1860e0127",
+    TemplateKind.CHAIN_RESPONSE: "f55a870afcfc7d5165c752d76246a3e6a4d2e82d9e4e0f7e7fbf9f76d3406fc4",
+    TemplateKind.ALTERNATE_PRECEDENCE: "ff38eea39101442c35dc7b62f15a89176d15e33dd96536d33d3c39f3ba22f451",
+    TemplateKind.CHAIN_PRECEDENCE: "6dd7b855f1fd6f495e797f5ccf46499b4058526ca6aca64c3b155c2874e3f396",
+    TemplateKind.SUCCESSION: "7f4e4be6454fd14cf624f05f559d2050af0bc48c52decd16b4080fc021798303",
+    TemplateKind.ALTERNATE_SUCCESSION: "be4538c0a64a1f286246de2c7d87fee30ec1a38afa883c0f4578821df5b15821",
+    TemplateKind.CHAIN_SUCCESSION: "6496c217ac913a58a212f7088c36298d9bdb0a5993523413049144b0ca161671",
+}
+
+
+def test_generated_logs_are_pinned():
+    """A fixed seed gives the same log bytes for every ordering template."""
+    for kind, digest in _PINNED_LOGS.items():
+        text = write_factlog(generate_log(_con(kind), 20, 10, 5, seed=7).log)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, kind
 
 
 def test_generate_log_requires_even_count():
