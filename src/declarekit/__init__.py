@@ -32,13 +32,12 @@ _EXPORTS = {
         "generate_log", "generator_alphabet", "sample_trace", "write_label_manifest",
     ),
     "ltlf": (
-        "Formula", "FormulaSyntaxError", "eval_table", "eval_tree", "ev_empty", "nnf",
-        "parse_formula", "pretty", "template_formula",
+        "Formula", "FormulaSyntaxError", "eval_tree", "ev_empty", "nnf", "parse_formula",
+        "pretty", "template_formula",
     ),
     "tasks": (
         "Backend", "CheckReport", "EmptyLogError", "Query", "QueryAnswer", "QueryTerm",
-        "Variable", "check_log", "conformance_check", "make_checker", "query_check",
-        "support",
+        "Variable", "check_log", "conformance_check", "query_check", "support",
     ),
     "xcheck": ("Disagreement", "exhaustive_check", "random_check"),
 }

@@ -2,8 +2,9 @@
 
 Subcommands: check, query, compile, validate, generate, convert.
 Exit codes: 0 on success (constraint violations are data, not errors),
-1 when validate finds backend disagreements, 2 on malformed input
-documents, 3 on invalid arguments.
+1 when validate finds backend disagreements, 2 on an input that cannot
+be read or parsed or an output that cannot be written, 3 on invalid
+arguments, a slot given twice or a formula over the DFA state budget.
 """
 
 from __future__ import annotations
@@ -86,6 +87,16 @@ def _bind(text: str) -> tuple[str, str]:
     return slot, value
 
 
+def _slots(args) -> dict[str, str]:
+    """The --bind values by slot; a slot bound twice is an error."""
+    slots: dict[str, str] = {}
+    for slot, value in args.bind:
+        if slot in slots:
+            raise ValueError(f"--bind {slot} given more than once")
+        slots[slot] = value
+    return slots
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="declarekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
@@ -165,13 +176,18 @@ def _cli_query(args) -> Query:
         raise ValueError("query needs exactly one of --query or --template")
     if args.query:
         return _module.load_query(args.query)
-    slots = dict(args.bind)
+    slots = _slots(args)
     domains = {}
     for spec in args.domain:
         name, sep, values = spec.partition("=")
         if not sep or not values:
             raise ValueError(f"domains look like name=act1,act2, got {spec!r}")
-        domains[_module.Variable(name)] = tuple(Activity(v) for v in values.split(","))
+        if name in slots:
+            raise ValueError(f"--domain {name} restricts a slot that --bind fixes")
+        variable = _module.Variable(name)
+        if variable in domains:
+            raise ValueError(f"--domain {name} given more than once")
+        domains[variable] = tuple(Activity(v) for v in values.split(","))
     term = _module.QueryTerm(
         args.template,
         Activity(slots["arg_0"]) if "arg_0" in slots else _module.Variable("arg_0"),
@@ -251,7 +267,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    slots = dict(args.bind)
+    slots = _slots(args)
     activation = Activity(slots.get("arg_0", "a_0"))
     target = Activity(slots.get("arg_1", "a_1"))
     constraint = Constraint(0, args.template, activation, target)
@@ -288,13 +304,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError, _module.IngestError, _module.FormulaSyntaxError) as exc:
         print(f"declarekit: {exc}", file=sys.stderr)
         return 2
-    except (_module.IngestError, _module.FormulaSyntaxError) as exc:
-        print(f"declarekit: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # GeneratorError included
+    except (ValueError, _module.StateBudgetExceeded) as exc:  # GeneratorError included
         print(f"declarekit: {exc}", file=sys.stderr)
         return 3
 

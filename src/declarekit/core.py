@@ -96,22 +96,6 @@ class Trace:
         return self.events[i]
 
 
-# Ascending positions of each activity of a trace; absent activities have no entry.
-PositionIndex = dict[Activity, list[int]]
-
-
-def index_positions(events: tuple[Activity, ...]) -> PositionIndex:
-    """The ascending positions of each activity of a trace, in one pass."""
-    index: PositionIndex = {}
-    for t, ev in enumerate(events):
-        pos = index.get(ev)
-        if pos is None:
-            index[ev] = [t]
-        else:
-            pos.append(t)
-    return index
-
-
 @dataclass(frozen=True)
 class CodedLog:
     """The events of a log, each coded once as a small integer.

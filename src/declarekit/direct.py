@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Mapping, Sequence
 
-from .core import CodedLog, Constraint, TemplateKind, Trace, index_positions
+from .core import Activity, CodedLog, Constraint, TemplateKind, Trace
 from .ltlf import ev_empty, template_formula
 
 # Reason tags, stable for report consumers.
@@ -216,6 +216,22 @@ _RULES = {
     _K.RESPONDED_EXISTENCE: (_responded_existence,),
     _K.COEXISTENCE: (_coexistence,),
 }
+
+
+# Ascending positions of each activity of a trace; absent activities have no entry.
+PositionIndex = dict[Activity, list[int]]
+
+
+def index_positions(events: tuple[Activity, ...]) -> PositionIndex:
+    """The ascending positions of each activity of a trace, in one pass."""
+    index: PositionIndex = {}
+    for t, ev in enumerate(events):
+        pos = index.get(ev)
+        if pos is None:
+            index[ev] = [t]
+        else:
+            pos.append(t)
+    return index
 
 
 def check_direct(constraint: Constraint, trace: Trace) -> DirectVerdict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .automata import Dfa, complement, minimize, product, template_dfa
 from .core import Activity, Constraint, EventLog, Trace
@@ -105,11 +104,6 @@ class PathCountTable:
         return self.counts[length][self.dfa.initial]
 
 
-@lru_cache(maxsize=256)
-def _table(dfa: Dfa, alphabet_size: int, max_len: int) -> PathCountTable:
-    return PathCountTable.build(dfa, alphabet_size, max_len)
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -121,28 +115,20 @@ def mix_seed(base: int, stream: int) -> int:
     return z ^ (z >> 31)
 
 
-def sample_trace(
-    generator: Dfa,
-    length: int,
-    alphabet_size: int,
-    seed: int,
-    *,
-    table: PathCountTable | None = None,
-) -> tuple[Activity, ...]:
-    """Draw one accepted string of exactly `length` symbols, uniformly.
+def sample_trace(table: PathCountTable, length: int, seed: int) -> tuple[Activity, ...]:
+    """Draw one string of exactly `length` symbols that `table.dfa`
+    accepts, uniformly; the table must count up to `length`.
 
     At each step a transition class is picked with probability
     proportional to weight * continuations; a wildcard pick is then
     resolved to a concrete unnamed activity by its rank, so every
     accepted string has probability 1 / total.
     """
-    if table is None:
-        table = _table(generator, alphabet_size, length)
-    total = table.count(generator.initial, length)
-    if total <= 0:
+    generator = table.dfa
+    if table.total(length) <= 0:
         raise GeneratorError(f"no accepted traces of length {length}")
     named = generator.named
-    others = tuple(a for a in generator_alphabet(named, alphabet_size) if a not in named)
+    others = tuple(a for a in generator_alphabet(named, table.alphabet_size) if a not in named)
     weights = [1] * len(named) + [len(others)]
     rng = random.Random(seed)
 
@@ -198,23 +184,20 @@ def generate_log(
     halves = []
     for positive in (True, False):
         gen = build_generator(constraint, alphabet_size, positive)
-        table = _table(gen, alphabet_size, length)
+        table = PathCountTable.build(gen, alphabet_size, length)
         if table.total(length) <= 0:
             polarity = "positive" if positive else "negative"
             raise GeneratorError(
                 f"no {polarity} traces of length {length} contain both activities"
             )
-        halves.append((gen, table))
+        halves.append(table)
 
     traces = []
     labels = []
     half = n_traces // 2
     for tid in range(n_traces):
         positive = tid < half
-        gen, table = halves[0] if positive else halves[1]
-        events = sample_trace(
-            gen, length, alphabet_size, mix_seed(seed, tid), table=table
-        )
+        events = sample_trace(halves[0 if positive else 1], length, mix_seed(seed, tid))
         traces.append(Trace(tid, events))
         labels.append(positive)
     return GeneratedLog(log=EventLog(traces), labels=tuple(labels))

@@ -387,7 +387,7 @@ def pretty(f: Formula) -> str:
 # Node enumeration
 
 def subformulas(f: Formula) -> list[Formula]:
-    """All nodes in preorder; a node's id is its position in this list."""
+    """All nodes in preorder."""
     out: list[Formula] = []
     stack = [f]
     while stack:
@@ -580,35 +580,27 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=4096)
-def _plan(formulas: tuple[Formula, ...]) -> tuple[tuple[_Step, ...], tuple[tuple[int, ...], ...]]:
+def _plan(formulas: tuple[Formula, ...]) -> tuple[tuple[_Step, ...], tuple[int, ...]]:
     """Compile formulas to one list of postorder steps, one per distinct node.
 
-    Returns (steps, slots): step k is (node class, child steps, atom), and
-    slots[j][i] is the step computing the node with preorder id i of
-    formulas[j], so slots[j][0] is formula j's root. Equal subformulas,
-    within one formula or across several, share a step.
+    Returns (steps, roots): step k is (node class, child steps, atom), and
+    roots[j] is the step computing formulas[j]. Equal subformulas, within
+    one formula or across several, share a step.
     """
     steps: list[_Step] = []
     step_of: dict[Formula, int] = {}
 
-    def walk(node: Formula, slots: list[int]) -> int:
-        pre = len(slots)
-        slots.append(-1)
-        kids = tuple(walk(c, slots) for c in node.children())
-        slot = step_of.get(node)
-        if slot is None:
-            slot = step_of[node] = len(steps)
+    def walk(node: Formula) -> int:
+        step = step_of.get(node)
+        if step is None:
+            kids = tuple(walk(c) for c in node.children())
+            step = step_of[node] = len(steps)
             atom = node.activity if isinstance(node, Atom) else None
             steps.append((type(node), kids, atom))
-        slots[pre] = slot
-        return slot
+        return step
 
-    all_slots = []
-    for f in formulas:
-        slots: list[int] = []
-        walk(f, slots)
-        all_slots.append(tuple(slots))
-    return tuple(steps), tuple(all_slots)
+    roots = tuple(walk(f) for f in formulas)
+    return tuple(steps), roots
 
 
 def _atom_masks(
@@ -722,8 +714,7 @@ def eval_log(formulas: Sequence[Formula], coded: CodedLog) -> list[bytearray]:
     formulas once, and each block of traces evaluates it once.
     """
     formulas = tuple(formulas)
-    steps, slots = _plan(formulas)
-    roots = [s[0] for s in slots]
+    steps, roots = _plan(formulas)
     empty = [ev_empty(f) for f in formulas]
     verdicts = [bytearray(len(coded.lengths)) for _ in formulas]
     for first, last, start, stop in _blocks(coded.lengths):
@@ -752,26 +743,6 @@ def eval_log(formulas: Sequence[Formula], coded: CodedLog) -> list[bytearray]:
 def eval_tree(f: Formula, trace: Trace) -> bool:
     """Satisfaction of f at position 0, or ev_empty(f) on the empty trace."""
     return eval_log((f,), code_events((trace,), trace.events))[0][0] == 1
-
-
-def eval_table(f: Formula, trace: Trace) -> dict[tuple[int, int], bool]:
-    """Full table mapping (preorder node id, position) to satisfaction.
-
-    The table holds exactly |subformulas(f)| * len(trace) entries; it is
-    empty for the empty trace, whose verdict comes from ev_empty.
-    """
-    n = len(trace)
-    if not n:
-        return {}
-    steps, (slots,) = _plan((f,))
-    masks = _eval_block(steps, code_events((trace,), trace.events), 0, n + 1, [n])
-    # Digit t of the layout (n positions, then the guard) is position t.
-    digits = [format(m, f"0{n + 1}b") for m in masks]
-    return {
-        (node_id, t): digits[slot][t] == "1"
-        for node_id, slot in enumerate(slots)
-        for t in range(n)
-    }
 
 
 def atoms(f: Formula) -> tuple[Activity, ...]:

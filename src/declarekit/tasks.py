@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .automata import template_dfa, walk_log
 from .core import (
@@ -93,11 +93,6 @@ def _every(columns: Sequence[bytearray], n: int) -> int:
     bytes 0 and 1, so its bit count is the number of such traces."""
     columns = map(int.from_bytes, columns, itertools.repeat("big"))
     return functools.reduce(operator.and_, columns, int.from_bytes(b"\1" * n, "big"))
-
-
-def make_checker(constraint: Constraint, backend: Backend) -> Callable[[Trace], bool]:
-    """One constraint on one trace at a time: `checker(trace) -> bool`."""
-    return lambda trace: check_log((trace,), (constraint,), backend)[0][0] == 1
 
 
 class VerdictMatrix(Mapping[tuple[int, int], bool]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .core import Activity, Constraint, EventLog, TemplateKind, Trace, code_events
 from .ingest import write_factlog
@@ -44,14 +44,12 @@ class Disagreement:
         }
 
 
-def _compare(
-    sweep: Iterator[tuple[Activity, ...]], kinds: tuple[TemplateKind, ...]
-) -> list[Disagreement]:
+def _compare(sweep: Iterator[tuple[Activity, ...]]) -> list[Disagreement]:
     """Check every trace of a sweep with one constraint over (a, b) per
     kind on every backend, a batch of traces at a time. Split verdicts
-    come in sweep order, then in `kinds` order."""
+    come in sweep order, then in ALL_KINDS order."""
     act, tgt = Activity("a"), Activity("b")
-    constraints = [Constraint(i, kind, act, tgt) for i, kind in enumerate(kinds)]
+    constraints = [Constraint(i, kind, act, tgt) for i, kind in enumerate(ALL_KINDS)]
     out: list[Disagreement] = []
     while batch := [Trace(0, events) for events in itertools.islice(sweep, _BATCH)]:
         # Per kind, the (direct, tree, dfa) verdict columns over the batch,
@@ -69,7 +67,7 @@ def _compare(
             d, t, f = (column[i] == 1 for column in columns[k])
             out.append(
                 Disagreement(
-                    kind=kinds[k],
+                    kind=ALL_KINDS[k],
                     trace=batch[i],
                     verdicts={"direct": d, "tree": t, "dfa": f},
                     factlog=write_factlog(EventLog([batch[i]])),
@@ -78,10 +76,7 @@ def _compare(
     return out
 
 
-def exhaustive_check(
-    kinds: Iterable[TemplateKind] | None = None,
-    max_len: int = 10,
-) -> list[Disagreement]:
+def exhaustive_check(max_len: int = 10) -> list[Disagreement]:
     """Compare the backends on every trace over {a, b, w} up to max_len.
 
     Traces are visited by length, then lexicographically in (a, b, w)
@@ -90,16 +85,14 @@ def exhaustive_check(
     """
     if max_len < 0:
         raise ValueError(f"max_len must be 0 or more, got {max_len}")
-    kinds = ALL_KINDS if kinds is None else tuple(kinds)
     symbols = (Activity("a"), Activity("b"), Activity("w"))
     sweep = itertools.chain.from_iterable(
         itertools.product(symbols, repeat=length) for length in range(max_len + 1)
     )
-    return _compare(sweep, kinds)
+    return _compare(sweep)
 
 
 def random_check(
-    kinds: Iterable[TemplateKind] | None = None,
     n_samples: int = 100_000,
     max_len: int = 20,
     seed: int = 0,
@@ -112,7 +105,6 @@ def random_check(
     """
     if n_samples < 0 or max_len < 0:
         raise ValueError(f"n_samples and max_len must be 0 or more, got {n_samples}, {max_len}")
-    kinds = ALL_KINDS if kinds is None else tuple(kinds)
     symbols = (Activity("a"), Activity("b"), Activity("w"))
     rng = random.Random(seed)
 
@@ -121,4 +113,4 @@ def random_check(
             length = rng.randint(0, max_len)
             yield tuple(rng.choice(symbols) for _ in range(length))
 
-    return _compare(sweep(), kinds)
+    return _compare(sweep())

@@ -104,6 +104,26 @@ def test_check_missing_file_exits_two(workdir):
     assert "nope.lp" in out.stderr
 
 
+def test_unreadable_input_or_output_exits_two(workdir):
+    """A directory for a file, a .xes.gz that is not gzip and text that is
+    not UTF-8 each end in one declarekit: line and exit 2."""
+    (workdir / "dir.lp").mkdir()
+    (workdir / "bad.xes.gz").write_bytes(b"trace(0,0,a).\n")
+    (workdir / "bad.csv").write_bytes(b"case_id,activity\n0,\xff\n")
+    (workdir / "bad.lp").write_bytes(b'trace(0,0,"\xff").\n')
+    for args in (
+        ("check", "--log", "dir.lp", "--model", "model.lp"),
+        ("check", "--log", "log.lp", "--model", "dir.lp"),
+        ("check", "--log", "log.lp", "--model", "model.lp", "--out", "dir.lp"),
+        ("check", "--log", "bad.xes.gz", "--model", "model.lp"),
+        ("convert", "--in", "bad.csv", "--out", "out.lp"),
+        ("convert", "--in", "bad.lp", "--out", "out.csv"),
+    ):
+        out = run_cli(*args, cwd=workdir)
+        assert out.returncode == 2, args
+        assert out.stderr.startswith("declarekit: ") and out.stderr.count("\n") == 1, args
+
+
 def test_check_malformed_log_exits_two(workdir):
     (workdir / "bad.lp").write_text("trace(0,1,a).")
     out = run_cli("check", "--log", "bad.lp", "--model", "model.lp", cwd=workdir)
@@ -183,6 +203,26 @@ def test_query_json_output(workdir):
     assert {"binding": {"arg_1": "b"}, "support": "2/3"} in doc["answers"]
 
 
+def test_slot_given_twice_exits_three(workdir):
+    query = ("query", "--log", "log.lp", "--template", "Response", "--support", "1/3")
+    generate = ("generate", "--template", "Response", "--n", "2", "--len", "3",
+                "--out", "gen.lp")
+    for args, message in (
+        ((*query, "--bind", "arg_0=a", "--bind", "arg_0=c"),
+         "--bind arg_0 given more than once"),
+        ((*query, "--bind", "arg_0=a", "--domain", "arg_0=c"),
+         "--domain arg_0 restricts a slot that --bind fixes"),
+        ((*query, "--domain", "arg_1=b", "--domain", "arg_1=c"),
+         "--domain arg_1 given more than once"),
+        ((*generate, "--bind", "arg_1=a", "--bind", "arg_1=b"),
+         "--bind arg_1 given more than once"),
+    ):
+        out = run_cli(*args, cwd=workdir)
+        assert out.returncode == 3, args
+        assert out.stderr == f"declarekit: {message}\n", args
+    assert not (workdir / "gen.lp").exists()
+
+
 def test_query_needs_exactly_one_source(workdir):
     out = run_cli("query", "--log", "log.lp", "--support", "1/2", cwd=workdir)
     assert out.returncode == 3
@@ -207,6 +247,15 @@ def test_compile_formula_dot(workdir):
 def test_compile_bad_formula_exits_two(workdir):
     out = run_cli("compile", "--formula", "G(a ->", "--facts-json", "-", cwd=workdir)
     assert out.returncode == 2
+
+
+def test_compile_over_state_budget_exits_three(workdir):
+    formula = "F(a & X X X X X X X X X X X X (Xw false))"
+    out = run_cli("compile", "--formula", formula, "--dot", "-", cwd=workdir)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith("declarekit: more than 4096 states while compiling")
+    assert out.stderr.count("\n") == 1
 
 
 def test_generate_writes_log_and_manifest(workdir):

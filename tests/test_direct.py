@@ -15,7 +15,6 @@ from declarekit import (
     check_direct,
     check_log,
     eval_tree,
-    make_checker,
     template_formula,
 )
 from declarekit.direct import (
@@ -148,9 +147,9 @@ def test_log_kernel_matches_check_direct_on_every_short_trace():
         want = [check_direct(con, trace).sat for trace in traces[::2]]
         assert list(column[::2]) == want, con
         assert set(column[1::2]) == {check_direct(con, empty).sat}, con
-    assert not make_checker(_con(TemplateKind.RESPONSE, A, A), Backend.DIRECT)(
-        Trace.from_labels(0, "a")
-    )
+    assert check_log(
+        (Trace.from_labels(0, "a"),), (_con(TemplateKind.RESPONSE, A, A),), Backend.DIRECT
+    ) == [bytearray((0,))]
 
 
 _SPELLINGS = st.lists(st.text(alphabet="abcxy", max_size=12), min_size=1, max_size=12)

@@ -54,7 +54,7 @@ def test_chain_response_length_two_has_single_positive():
     gen = build_generator(_con(TemplateKind.CHAIN_RESPONSE), 2)
     table = PathCountTable.build(gen, 2, 4)
     assert table.total(2) == 1
-    trace = sample_trace(gen, 2, 2, seed=123, table=table)
+    trace = sample_trace(table, 2, seed=123)
     assert [e.label for e in trace] == ["a_0", "a_1"]
 
 
@@ -88,7 +88,7 @@ def test_sampling_is_uniform():
     n = 20_000
     seen: dict[tuple, int] = {}
     for i in range(n):
-        trace = sample_trace(gen, length, 2, seed=mix_seed(97, i), table=table)
+        trace = sample_trace(table, length, seed=mix_seed(97, i))
         key = tuple(e.label for e in trace)
         seen[key] = seen.get(key, 0) + 1
     assert len(seen) == total
@@ -102,7 +102,7 @@ def test_sampled_traces_have_requested_length_and_both_activities():
     gen = build_generator(_con(TemplateKind.PRECEDENCE), 6)
     table = PathCountTable.build(gen, 6, 12)
     for i in range(50):
-        trace = sample_trace(gen, 12, 6, seed=mix_seed(5, i), table=table)
+        trace = sample_trace(table, 12, seed=mix_seed(5, i))
         labels = {e.label for e in trace}
         assert len(trace) == 12
         assert "a_0" in labels and "a_1" in labels

@@ -19,10 +19,9 @@ from declarekit import (
     FormulaSyntaxError,
     TemplateKind,
     Trace,
+    check_log,
     ev_empty,
-    eval_table,
     eval_tree,
-    make_checker,
     nnf,
     parse_formula,
     pretty,
@@ -47,6 +46,7 @@ from declarekit.ltlf import (
     WeakNext,
     WeakUntil,
     _plan,
+    atoms,
     eval_log,
     subformulas,
 )
@@ -325,10 +325,21 @@ def test_globally_eventually_means_last_position():
         assert eval_tree(f, trace) == expected
 
 
+def _eval_table(f, trace):
+    """(preorder node id, position) -> satisfaction, for every node of f
+    at every position of a trace, from one eval_log over the log of the
+    trace's suffixes: the operators look only forward, so node g holds
+    at position t exactly when it holds on suffix t."""
+    nodes = subformulas(f)
+    suffixes = [Trace(t, trace.events[t:]) for t in range(len(trace))]
+    verdicts = eval_log(nodes, code_events(suffixes, atoms(f)))
+    return {(i, t): v == 1 for i, column in enumerate(verdicts) for t, v in enumerate(column)}
+
+
 def test_eval_table_has_one_cell_per_node_and_position():
     f = parse_formula("G(a -> F b)")
     trace = Trace.from_labels(0, "abab")
-    table = eval_table(f, trace)
+    table = _eval_table(f, trace)
     n_nodes = len(list(subformulas(f)))
     assert len(table) == n_nodes * len(trace)
     assert table[(0, 0)] == eval_tree(f, trace)
@@ -339,7 +350,7 @@ def test_eval_table_matches_naive_at_every_position():
 
     f = parse_formula("(a U b) & G(c -> X a)")
     trace = Trace.from_labels(0, "acabcb")
-    table = eval_table(f, trace)
+    table = _eval_table(f, trace)
     nodes = list(subformulas(f))
     core = [desugar(g) for g in nodes]
     for idx, g in enumerate(core):
@@ -400,7 +411,7 @@ def test_eval_table_matches_naive_on_long_traces(monkeypatch):
             trace = Trace.from_labels(0, labels)
             sat = _memoize_sat(monkeypatch)
             for f, core in zip(formulas, cores):
-                table = eval_table(f, trace)
+                table = _eval_table(f, trace)
                 assert len(table) == len(core) * n
                 for node_id, g in enumerate(core):
                     for pos in range(n):
@@ -417,24 +428,25 @@ def test_model_plan_has_one_step_per_distinct_subformula():
     the formulas planned one by one take 279, and one atom per activity."""
     pairs = [(Activity(f"p{i}"), Activity(f"p{i + 1}")) for i in (0, 2, 4)]
     formulas = tuple(template_formula(kind, a, b) for kind in TemplateKind for a, b in pairs)
-    steps, slots = _plan(formulas)
+    steps, roots = _plan(formulas)
     assert len(steps) == len({g for f in formulas for g in subformulas(f)}) == 102
     assert sum(len(_plan((f,))[0]) for f in formulas) == 279
     assert sorted(atom.label for op, _, atom in steps if op is Atom) == [
         f"p{i}" for i in range(6)
     ]
-    for f, preorder in zip(formulas, slots):
-        assert len(preorder) == len(subformulas(f))
+    # One root step per formula, of the formula's own node class.
+    assert [steps[r][0] for r in roots] == [type(f) for f in formulas]
+    assert len(set(roots)) == len(formulas)
 
 
 def test_equal_formulas_share_one_root():
     response = template_formula(TemplateKind.RESPONSE, A, B)
     succession = template_formula(TemplateKind.SUCCESSION, A, B)
-    steps, slots = _plan((response, succession, response))
+    steps, roots = _plan((response, succession, response))
     assert len(steps) == len(_plan((succession,))[0])
-    assert slots[0][0] == slots[2][0]
+    assert roots[0] == roots[2]
     # Succession's first conjunct is Response: its step is Response's root.
-    assert slots[1][1] == slots[0][0]
+    assert steps[roots[1]][1][0] == roots[0]
     traces = list(all_traces(("a", "b", "w"), 4))
     verdicts = eval_log((response, succession, response), code_events(traces, (A, B)))
     for i, trace in enumerate(traces):
@@ -505,15 +517,13 @@ def test_tree_alternate_succession_is_linear_in_trace_length():
     so the tree backend is linear in trace length.
     """
     n = 400_000
-    checker = make_checker(
-        Constraint(0, TemplateKind.ALTERNATE_SUCCESSION, A, B), Backend.TREE
-    )
+    constraint = Constraint(0, TemplateKind.ALTERNATE_SUCCESSION, A, B)
     good = Trace.from_labels(0, "ab" * (n // 2))
     bad = Trace.from_labels(1, "ab" * (n // 2 - 1) + "ba")
     started = time.perf_counter()
-    verdicts = (checker(good), checker(bad))
+    (verdicts,) = check_log((good, bad), (constraint,), Backend.TREE)
     elapsed = time.perf_counter() - started
-    assert verdicts == (True, False)
+    assert verdicts == bytearray((1, 0))
     assert elapsed < 2.0, elapsed
 
 

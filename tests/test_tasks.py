@@ -24,7 +24,6 @@ from declarekit import (
     check_log,
     conformance_check,
     eval_tree,
-    make_checker,
     pretty,
     query_check,
     support,
@@ -39,6 +38,11 @@ A, B, C, D = (Activity(x) for x in "abcd")
 
 def _log(*labelings):
     return EventLog(tuple(Trace.from_labels(i, s) for i, s in enumerate(labelings)))
+
+
+def _alone(con, trace, backend):
+    """The verdict of `check_log` on a log of this one trace."""
+    return check_log((trace,), (con,), backend)[0][0] == 1
 
 
 def _brute_answers(query, log, threshold, *, domains=None):
@@ -133,7 +137,7 @@ def test_conformance_matches_fresh_checkers_cell_by_cell():
     for backend in Backend:
         report = conformance_check(log, model, backend)
         cells = {
-            (tr.id, c.id): make_checker(c, backend)(tr)
+            (tr.id, c.id): _alone(c, tr, backend)
             for tr in log.traces
             for c in model.constraints
         }
@@ -148,13 +152,15 @@ def test_conformance_matches_fresh_checkers_cell_by_cell():
         }
 
 
-def test_make_checker_matches_direct_verdicts():
+def test_check_log_matches_direct_verdicts():
     con = Constraint(0, TemplateKind.ALTERNATE_PRECEDENCE, A, B)
     traces = [Trace.from_labels(i, s) for i, s in enumerate(["", "ab", "bb", "abab", "bab"])]
+    want = [check_direct(con, trace).sat for trace in traces]
     for backend in Backend:
-        checker = make_checker(con, backend)
-        for trace in traces:
-            assert checker(trace) == check_direct(con, trace).sat, (backend, trace)
+        (column,) = check_log(traces, (con,), backend)
+        assert [v == 1 for v in column] == want, backend
+        for trace, sat in zip(traces, want):
+            assert _alone(con, trace, backend) == sat, (backend, trace)
 
 
 # Consecutive traces over disjoint alphabets, either of which may be empty:
@@ -190,11 +196,10 @@ def test_shared_row_index_matches_fresh_checkers(pairs, specs):
     for backend in Backend:
         report = conformance_check(log, model, backend)
         for con in model:
-            fresh = make_checker(con, backend)
             formula = template_formula(con.kind, con.activation, con.target)
             for trace in log:
                 got = report.matrix[(trace.id, con.id)]
-                assert got == fresh(trace), (backend, con, trace)
+                assert got == _alone(con, trace, backend), (backend, con, trace)
                 if con.activation is not con.target:
                     assert got == naive_eval(formula, trace), (backend, con, trace)
 
@@ -213,8 +218,6 @@ def test_replayed_kernel_entry_points_keep_working():
         dfa = template_dfa(kind, A, B)
         assert dfa.accepts(trace.events) == want, kind
         assert dfa.n_states >= 1
-        for backend in Backend:
-            assert make_checker(con, backend)(trace) == want, (kind, backend)
     before = template_dfa.cache_info()
     cached = template_dfa(TemplateKind.RESPONSE, A, B)
     assert template_dfa.cache_info().hits == before.hits + 1
@@ -356,10 +359,11 @@ def test_query_two_terms_match_formula_oracle(monkeypatch):
     import random
 
     import declarekit.automata
+    import declarekit.core
     import declarekit.direct
     import declarekit.ltlf
     import declarekit.tasks
-    from declarekit.core import index_positions
+    from declarekit.direct import index_positions
     from declarekit.ltlf import And
 
     from oracles import brute_support
@@ -397,7 +401,7 @@ def test_query_two_terms_match_formula_oracle(monkeypatch):
 
     # Only check_direct, the one-trace explainer, indexes positions.
     monkeypatch.setattr(declarekit.direct, "index_positions", counting_index)
-    for module in (declarekit.tasks, declarekit.ltlf, declarekit.automata):
+    for module in (declarekit.core, declarekit.tasks, declarekit.ltlf, declarekit.automata):
         assert not hasattr(module, "index_positions"), module
     for backend in Backend:
         calls.clear()

@@ -33,11 +33,6 @@ def test_exhaustive_small_grid_agrees():
     assert exhaustive_check(max_len=5) == []
 
 
-def test_exhaustive_respects_kind_selection():
-    out = exhaustive_check(kinds=(TemplateKind.RESPONSE,), max_len=6)
-    assert out == []
-
-
 def test_random_check_is_seeded():
     assert random_check(n_samples=500, max_len=12, seed=7) == []
 
