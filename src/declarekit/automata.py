@@ -11,13 +11,11 @@ continuation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import islice
 from typing import Sequence
 
-from .core import Activity, CodedLog, WILDCARD_LABEL
+from .core import Activity, CodedLog, Record, WILDCARD_LABEL
 from .ltlf import (
     And,
     Atom,
@@ -60,8 +58,7 @@ class StateBudgetExceeded(RuntimeError):
     """Compilation discovered more states than the configured budget."""
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """A total DFA over named symbols plus the wildcard class.
 
     Transition columns follow `named` order with the wildcard last, so
@@ -69,24 +66,26 @@ class Dfa:
     numbered densely from 0.
     """
 
-    named: tuple[Activity, ...]
-    moves: tuple[tuple[int, ...], ...]
-    initial: int
-    accepting: frozenset[int]
-    # Column of each named activity, built once rather than per `accepts`.
-    _columns: dict[Activity, int] = field(init=False, repr=False, compare=False)
+    # `_columns` is not a field: it is derived from `named`.
+    __slots__ = ("named", "moves", "initial", "accepting", "_columns")
+    _fields = ("named", "moves", "initial", "accepting")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_columns", {a: i for i, a in enumerate(self.named)})
-        n = len(self.moves)
-        width = len(self.named) + 1
-        for row in self.moves:
+    def __init__(
+        self, named: tuple[Activity, ...], moves: tuple[tuple[int, ...], ...],
+        initial: int, accepting: frozenset[int],
+    ) -> None:
+        n = len(moves)
+        width = len(named) + 1
+        for row in moves:
             if len(row) != width or any(not (0 <= t < n) for t in row):
                 raise ValueError("transition table is not total over the symbol classes")
-        if not (0 <= self.initial < n):
+        if not (0 <= initial < n):
             raise ValueError("initial state out of range")
-        if any(not (0 <= s < n) for s in self.accepting):
+        if any(not (0 <= s < n) for s in accepting):
             raise ValueError("accepting state out of range")
+        super().__init__(named, moves, initial, accepting)
+        # Column of each named activity, built once rather than per `accepts`.
+        object.__setattr__(self, "_columns", {a: i for i, a in enumerate(named)})
 
     @property
     def n_states(self) -> int:
@@ -436,6 +435,8 @@ def to_facts_json(
     activation: Activity | None = None,
     target: Activity | None = None,
 ) -> str:
+    import json  # loaded here: only commands that write JSON need it
+
     return json.dumps(
         to_facts_dict(dfa, kind, activation=activation, target=target), indent=2
     ) + "\n"

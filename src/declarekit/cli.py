@@ -10,16 +10,16 @@ arguments, a slot given twice or a formula over the DFA state budget.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .core import Activity, Constraint, TemplateKind
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .tasks import Backend, Query
 
 # The other modules load on first use (PEP 562), so each command pays only
@@ -62,6 +62,8 @@ def _backend(name: str) -> Backend:
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction  # loaded here: compile, convert and generate need none
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -155,6 +157,12 @@ def _emit(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_json(path: str, doc) -> None:
+    import json  # loaded here: only the commands that write JSON need it
+
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def _cmd_check(args) -> int:
     log = _module.load_log(args.log)
     model = _module.load_model(args.model)
@@ -175,6 +183,8 @@ def _cli_query(args) -> Query:
     if bool(args.query) == bool(args.template):
         raise ValueError("query needs exactly one of --query or --template")
     if args.query:
+        if args.bind or args.domain:
+            raise ValueError("--bind and --domain go with --template, not with --query")
         return _module.load_query(args.query)
     slots = _slots(args)
     domains = {}
@@ -184,6 +194,8 @@ def _cli_query(args) -> Query:
             raise ValueError(f"domains look like name=act1,act2, got {spec!r}")
         if name in slots:
             raise ValueError(f"--domain {name} restricts a slot that --bind fixes")
+        if name not in ("arg_0", "arg_1"):
+            raise ValueError(f"--domain {name} names no variable of the template (arg_0, arg_1)")
         variable = _module.Variable(name)
         if variable in domains:
             raise ValueError(f"--domain {name} given more than once")
@@ -218,7 +230,7 @@ def _cmd_query(args) -> int:
                 for ans in answers
             ],
         }
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write_json(args.out, doc)
     return 0
 
 
@@ -262,7 +274,7 @@ def _cmd_validate(args) -> int:
             "seed": args.seed,
             "disagreements": [d.to_json_dict() for d in disagreements],
         }
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write_json(args.out, doc)
     return 1 if disagreements else 0
 
 
@@ -304,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, UnicodeDecodeError, _module.IngestError, _module.FormulaSyntaxError) as exc:
+    except (OSError, _module.IngestError, _module.FormulaSyntaxError) as exc:
         print(f"declarekit: {exc}", file=sys.stderr)
         return 2
     except (ValueError, _module.StateBudgetExceeded) as exc:  # GeneratorError included

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -69,18 +68,63 @@ class Activity:
         return (Activity, (self._label,))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Record:
+    """Base of the package's immutable records.
+
+    `_fields` names a record's fields in constructor order; each is kept
+    in a slot. Records of the same class are equal when their fields are,
+    and hash as the tuple of them. A field is set once, by the
+    constructor: assigning or deleting one raises AttributeError. Records
+    pickle and copy through the constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Take each field once, by position or by name."""
+        fields = self._fields
+        if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= {*fields[len(args):]}:
+            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}")
+        for name, value in (*zip(fields, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        """The values that equality and hashing compare."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Trace(Record):
     """One case: an identifier plus the finite sequence of its events."""
 
-    id: int
-    events: tuple[Activity, ...]
+    __slots__ = _fields = ("id", "events")
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
+    def __init__(self, id: int, events: Iterable[Activity]) -> None:
+        if id < 0:
             raise ValueError("trace id must be non-negative")
-        if not isinstance(self.events, tuple):
-            object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "events", events if isinstance(events, tuple) else tuple(events))
 
     @classmethod
     def from_labels(cls, id: int, labels: Iterable[str]) -> "Trace":
@@ -96,8 +140,7 @@ class Trace:
         return self.events[i]
 
 
-@dataclass(frozen=True)
-class CodedLog:
+class CodedLog(Record):
     """The events of a log, each coded once as a small integer.
 
     Activity a is code `codes[a]`, 0 up to len(codes) - 1, and every other
@@ -107,6 +150,9 @@ class CodedLog:
     `strings` spell the codes as characters, built on first use and kept.
     """
 
+    # `__dict__` holds the cached properties.
+    __slots__ = ("codes", "events", "lengths", "__dict__")
+    _fields = ("codes", "events", "lengths")
     codes: dict[Activity, int]
     events: list[int]
     lengths: list[int]
@@ -183,6 +229,9 @@ class EventLog:
     def __repr__(self) -> str:
         return f"EventLog({len(self._traces)} traces, {len(self._alphabet)} activities)"
 
+    def __reduce__(self):
+        return EventLog, (self._traces,)
+
 
 class TemplateKind(Enum):
     """The thirteen binary Declare templates.
@@ -245,18 +294,15 @@ for _k in TemplateKind:
     _BY_NAME[_CAMEL[_k]] = _k
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A template instantiated with a concrete activation and target."""
 
-    id: int
-    kind: TemplateKind
-    activation: Activity
-    target: Activity
+    __slots__ = _fields = ("id", "kind", "activation", "target")
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
+    def __init__(self, id: int, kind: TemplateKind, activation: Activity, target: Activity):
+        if id < 0:
             raise ValueError("constraint id must be non-negative")
+        super().__init__(id, kind, activation, target)
 
 
 class DeclareModel:

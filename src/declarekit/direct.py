@@ -13,11 +13,10 @@ discharging it. Positions out of range are None, not sentinel integers.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Mapping, Sequence
 
-from .core import Activity, CodedLog, Constraint, TemplateKind, Trace
+from .core import Activity, CodedLog, Constraint, Record, TemplateKind, Trace
 from .ltlf import ev_empty, template_formula
 
 # Reason tags, stable for report consumers.
@@ -38,21 +37,26 @@ EMPTY_TRACE = "empty_trace"
 Failure = tuple[int | None, str]
 
 
-@dataclass(frozen=True)
-class DirectVerdict:
+class DirectVerdict(Record):
     """Outcome of one constraint on one trace.
 
     `failures` is empty exactly when `sat` holds; positions are None for
     whole-trace conditions. `witnesses` maps each discharged activation
     position to its witness position. `steps` counts rule iterations
     over the activation and target positions, linear in their number;
-    indexing the positions is not counted.
+    indexing the positions is not counted. Equality ignores `steps`.
     """
 
-    sat: bool
-    failures: tuple[Failure, ...]
-    witnesses: Mapping[int, int]
-    steps: int = field(default=0, compare=False)
+    __slots__ = _fields = ("sat", "failures", "witnesses", "steps")
+
+    def __init__(
+        self, sat: bool, failures: tuple[Failure, ...], witnesses: Mapping[int, int],
+        steps: int = 0,
+    ) -> None:
+        super().__init__(sat, failures, witnesses, steps)
+
+    def _key(self) -> tuple:
+        return (self.sat, self.failures, self.witnesses)
 
 
 # Rules share one signature (events, act, tgt, act_pos, tgt_pos, failures,

@@ -16,13 +16,11 @@ import io
 import operator
 import os
 import re
-from dataclasses import dataclass
 from itertools import compress, islice, repeat
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .core import Activity, Constraint, DeclareModel, EventLog, TemplateKind, Trace
+from .core import Activity, Constraint, DeclareModel, EventLog, Record, TemplateKind, Trace
 
 if TYPE_CHECKING:  # tasks loads every backend; only queries need it, at run time
     from .tasks import CheckReport, Query, Variable
@@ -39,8 +37,8 @@ class IngestError(ValueError):
 # --------------------------------------------------------------------------
 # Fact documents
 
-@dataclass(frozen=True)
-class _Fact:
+class _Fact(Record):
+    __slots__ = _fields = ("name", "args", "line")
     name: str
     args: tuple
     line: int
@@ -438,12 +436,17 @@ def parse_xes(source) -> EventLog:
     attributes are read; trace ids follow document order.
     """
     import gzip  # imported here, as in save_log: only XES paths need these
+    import zlib
     from xml.etree import ElementTree
 
     if isinstance(source, os.PathLike):
-        opener = gzip.open if os.fspath(source).endswith(".gz") else open
+        path = os.fspath(source)
+        opener = gzip.open if path.endswith(".gz") else open
         with opener(source, "rb") as fh:
-            data = fh.read()
+            try:
+                data = fh.read()
+            except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+                raise IngestError(f"{path}: {exc}") from None
     elif hasattr(source, "read"):
         data = source.read()
     else:
@@ -802,7 +805,8 @@ def _report_json(report: CheckReport, log_name: str, model_name: str) -> str:
     are joined once, straight into the document, so that no more than two
     copies of the matrix text are alive at a time.
     """
-    enc = encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii as enc  # only reports need it
+
     cids, verdicts = _report_rows(report)
     pairs = [(f"      {enc(str(cid))}: false", f"      {enc(str(cid))}: true") for cid in cids]
     rows = ",\n".join([
@@ -861,7 +865,10 @@ def write_report(
 def _read_text(path) -> str:
     # newline="" here and in save_log: "\r" and "\r\n" inside labels survive.
     with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{os.fspath(path)}: {exc}") from None
 
 
 def load_log(path) -> EventLog:

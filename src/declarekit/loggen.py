@@ -11,10 +11,9 @@ over the accepted strings of the requested length.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .automata import Dfa, complement, minimize, product, template_dfa
-from .core import Activity, Constraint, EventLog, Trace
+from .core import Activity, Constraint, EventLog, Record, Trace
 
 
 class GeneratorError(ValueError):
@@ -70,10 +69,10 @@ def generator_alphabet(named: tuple[Activity, ...], alphabet_size: int) -> tuple
     return tuple(sorted((*named, *fill)))
 
 
-@dataclass(frozen=True)
-class PathCountTable:
+class PathCountTable(Record):
     """counts[r][s]: accepted continuations of length r from state s."""
 
+    __slots__ = _fields = ("dfa", "alphabet_size", "counts")
     dfa: Dfa
     alphabet_size: int
     counts: tuple[tuple[int, ...], ...]
@@ -125,6 +124,10 @@ def sample_trace(table: PathCountTable, length: int, seed: int) -> tuple[Activit
     accepted string has probability 1 / total.
     """
     generator = table.dfa
+    if not 0 <= length < len(table.counts):
+        raise GeneratorError(
+            f"length {length} is outside the table's range 0..{len(table.counts) - 1}"
+        )
     if table.total(length) <= 0:
         raise GeneratorError(f"no accepted traces of length {length}")
     named = generator.named
@@ -154,10 +157,10 @@ def sample_trace(table: PathCountTable, length: int, seed: int) -> tuple[Activit
     return tuple(events)
 
 
-@dataclass(frozen=True)
-class GeneratedLog:
+class GeneratedLog(Record):
     """A log with one boolean label per trace (indexed by trace id)."""
 
+    __slots__ = _fields = ("log", "labels")
     log: EventLog
     labels: tuple[bool, ...]
 

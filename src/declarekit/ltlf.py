@@ -10,16 +10,19 @@ trace is handled by a structural valuation (`ev_empty`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .core import Activity, CodedLog, TemplateKind, Trace, code_events
+from .core import Activity, CodedLog, Record, TemplateKind, Trace, code_events
 
 
-class Formula:
-    """Base class for formula nodes. Instances are immutable and hashable."""
+class Formula(Record):
+    """Base class for formula nodes. Instances are immutable and hashable.
+
+    Equality and hashing are written once per arity, as they run in every
+    set of formulas that compilation builds.
+    """
 
     __slots__ = ()
 
@@ -29,62 +32,89 @@ class Formula:
     def __str__(self) -> str:
         return pretty(self)
 
-    def __reduce__(self):
-        # Rebuild through the constructor: restoring the hand-written slots
-        # one by one would go through the frozen dataclass's __setattr__.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-
-@dataclass(frozen=True)
 class TrueConst(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseConst(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    __slots__ = ("activity",)
-    activity: Activity
+    __slots__ = _fields = ("activity",)
+
+    def __init__(self, activity: Activity) -> None:
+        object.__setattr__(self, "activity", activity)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.activity,) == (other.activity,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.activity,))
 
 
-@dataclass(frozen=True)
 class _Unary(Formula):
-    __slots__ = ("arg",)
-    arg: Formula
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Formula) -> None:
+        object.__setattr__(self, "arg", arg)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.arg,) == (other.arg,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.arg,))
 
     def children(self) -> tuple[Formula, ...]:
         return (self.arg,)
 
 
-@dataclass(frozen=True)
 class _Binary(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
 class _Nary(Formula):
-    __slots__ = ("args",)
-    args: tuple[Formula, ...]
+    __slots__ = _fields = ("args",)
 
-    def __post_init__(self) -> None:
-        if len(self.args) < 2:
+    def __init__(self, args: tuple[Formula, ...]) -> None:
+        if len(args) < 2:
             raise ValueError(f"{type(self).__name__} needs at least two operands")
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.args,) == (other.args,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.args,))
 
     def children(self) -> tuple[Formula, ...]:
         return self.args
 
 
-# The operators add no fields to their arity's dataclass. Its generated
-# __eq__ still requires the same class, and __repr__ names the subclass.
+# The operators add no fields to their arity's class. Its __eq__ still
+# requires the same class, and __repr__ names the subclass.
 
 class Not(_Unary):
     __slots__ = ()

@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -27,6 +26,7 @@ from .core import (
     Constraint,
     DeclareModel,
     EventLog,
+    Record,
     TemplateKind,
     Trace,
     code_events,
@@ -129,9 +129,11 @@ class VerdictMatrix(Mapping[tuple[int, int], bool]):
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return ((tid, cid) for cid in self.constraint_ids for tid in self.trace_ids)
 
+    def __reduce__(self):
+        return VerdictMatrix, (self.trace_ids, self.constraint_ids, self.columns)
 
-@dataclass(frozen=True)
-class CheckReport:
+
+class CheckReport(Record):
     """Conformance result: per-(trace, constraint) verdicts plus rollups.
 
     `matrix` maps (trace id, constraint id) to satisfaction, as a
@@ -140,6 +142,9 @@ class CheckReport:
     constraint id to its exact satisfaction rate over the log.
     """
 
+    __slots__ = _fields = (
+        "backend", "trace_ids", "constraint_ids", "matrix", "compliant", "supports",
+    )
     backend: Backend
     trace_ids: tuple[int, ...]
     constraint_ids: tuple[int, ...]
@@ -190,15 +195,15 @@ def support(constraint: Constraint, log: EventLog, backend: Backend = Backend.DI
 # --------------------------------------------------------------------------
 # Query checking
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
     """A query placeholder; rendered as ?name."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise ValueError("variable name must be non-empty")
+        super().__init__(name)
 
     def __str__(self) -> str:
         return f"?{self.name}"
@@ -207,31 +212,31 @@ class Variable:
 Slot = Activity | Variable
 
 
-@dataclass(frozen=True)
-class QueryTerm:
+class QueryTerm(Record):
     """One template whose argument slots may hold activities or variables."""
 
+    __slots__ = _fields = ("kind", "activation", "target")
     kind: TemplateKind
     activation: Slot
     target: Slot
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     """A conjunctive query: every term must hold for a binding to count.
 
     `domains` restricts candidate activities per variable; variables
     without an entry range over the whole log alphabet.
     """
 
-    terms: tuple[QueryTerm, ...]
-    domains: Mapping[Variable, tuple[Activity, ...]] = None  # type: ignore[assignment]
+    __slots__ = _fields = ("terms", "domains")
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(
+        self, terms: tuple[QueryTerm, ...],
+        domains: Mapping[Variable, tuple[Activity, ...]] | None = None,
+    ) -> None:
+        if not terms:
             raise ValueError("query needs at least one term")
-        if self.domains is None:
-            object.__setattr__(self, "domains", {})
+        super().__init__(terms, {} if domains is None else domains)
 
     def variables(self) -> tuple[Variable, ...]:
         seen = {
@@ -243,8 +248,8 @@ class Query:
         return tuple(seen[name] for name in sorted(seen))
 
 
-@dataclass(frozen=True)
-class QueryAnswer:
+class QueryAnswer(Record):
+    __slots__ = _fields = ("binding", "support")
     binding: Mapping[Variable, Activity]
     support: Fraction
 

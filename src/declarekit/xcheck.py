@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .core import Activity, Constraint, EventLog, TemplateKind, Trace, code_events
+from .core import Activity, Constraint, EventLog, Record, TemplateKind, Trace, code_events
 from .ingest import write_factlog
 from .tasks import Backend, _check_coded
 
@@ -26,10 +25,10 @@ ALL_KINDS: tuple[TemplateKind, ...] = tuple(TemplateKind)
 _BATCH = 1024
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(Record):
     """One trace on which the backends split, with a replayable form."""
 
+    __slots__ = _fields = ("kind", "trace", "verdicts", "factlog")
     kind: TemplateKind
     trace: Trace
     verdicts: Mapping[str, bool]

@@ -106,22 +106,26 @@ def test_check_missing_file_exits_two(workdir):
 
 def test_unreadable_input_or_output_exits_two(workdir):
     """A directory for a file, a .xes.gz that is not gzip and text that is
-    not UTF-8 each end in one declarekit: line and exit 2."""
+    not UTF-8 each end in one declarekit: line that names the file, and
+    exit 2."""
     (workdir / "dir.lp").mkdir()
     (workdir / "bad.xes.gz").write_bytes(b"trace(0,0,a).\n")
     (workdir / "bad.csv").write_bytes(b"case_id,activity\n0,\xff\n")
     (workdir / "bad.lp").write_bytes(b'trace(0,0,"\xff").\n')
-    for args in (
-        ("check", "--log", "dir.lp", "--model", "model.lp"),
-        ("check", "--log", "log.lp", "--model", "dir.lp"),
-        ("check", "--log", "log.lp", "--model", "model.lp", "--out", "dir.lp"),
-        ("check", "--log", "bad.xes.gz", "--model", "model.lp"),
-        ("convert", "--in", "bad.csv", "--out", "out.lp"),
-        ("convert", "--in", "bad.lp", "--out", "out.csv"),
+    for name, args in (
+        ("dir.lp", ("check", "--log", "dir.lp", "--model", "model.lp")),
+        ("dir.lp", ("check", "--log", "log.lp", "--model", "dir.lp")),
+        ("dir.lp", ("check", "--log", "log.lp", "--model", "model.lp", "--out", "dir.lp")),
+        ("bad.xes.gz", ("check", "--log", "bad.xes.gz", "--model", "model.lp")),
+        ("bad.lp", ("check", "--log", "log.lp", "--model", "bad.lp")),
+        ("bad.csv", ("convert", "--in", "bad.csv", "--out", "out.lp")),
+        ("bad.lp", ("convert", "--in", "bad.lp", "--out", "out.csv")),
+        ("bad.lp", ("query", "--log", "log.lp", "--query", "bad.lp", "--support", "1")),
     ):
         out = run_cli(*args, cwd=workdir)
         assert out.returncode == 2, args
         assert out.stderr.startswith("declarekit: ") and out.stderr.count("\n") == 1, args
+        assert name in out.stderr, args
 
 
 def test_check_malformed_log_exits_two(workdir):
@@ -221,6 +225,26 @@ def test_slot_given_twice_exits_three(workdir):
         assert out.returncode == 3, args
         assert out.stderr == f"declarekit: {message}\n", args
     assert not (workdir / "gen.lp").exists()
+
+
+def test_query_rejects_arguments_it_would_ignore(workdir):
+    """A query document fixes its own slots, and a domain must restrict a
+    variable of the template."""
+    (workdir / "q.lp").write_text(
+        'constraint(0,"Response"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).\n'
+    )
+    document = ("query", "--log", "log.lp", "--query", "q.lp", "--support", "1")
+    template = ("query", "--log", "log.lp", "--template", "Response", "--support", "1/3")
+    for args, message in (
+        ((*document, "--bind", "arg_1=zz"), "--bind and --domain go with --template"),
+        ((*document, "--domain", "y=zz"), "--bind and --domain go with --template"),
+        ((*template, "--domain", "nosuch=zz"), "--domain nosuch names no variable"),
+    ):
+        out = run_cli(*args, cwd=workdir)
+        assert out.returncode == 3, args
+        assert out.stderr.startswith(f"declarekit: {message}") and out.stderr.count("\n") == 1
+        assert out.stdout == "", args
+    assert run_cli(*document, cwd=workdir).returncode == 0
 
 
 def test_query_needs_exactly_one_source(workdir):
@@ -388,6 +412,40 @@ CHECK_SCOPE = COMMAND_SCOPE.format(
         "declarekit.loggen", "declarekit.xcheck", "statistics", "gzip", "xml.etree.ElementTree",
     ),
 )
+
+
+HEAVY_SCOPE = """
+import sys
+
+{run}
+print(*(m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules), sep=",")
+"""
+
+
+def test_commands_load_neither_dataclasses_nor_unused_fractions(workdir):
+    """No command imports dataclasses (or inspect, which it pulls in);
+    compile, convert and generate, which read no support, no fractions.
+    A module the bare interpreter already holds does not count."""
+    bare = run_python("-c", HEAVY_SCOPE.format(run=""), cwd=workdir)
+    assert bare.returncode == 0, bare.stderr
+    preloaded = set(bare.stdout.strip().split(","))
+    run = "from declarekit import cli\nassert cli.main({argv!r}) == 0"
+    for argv, allowed in (
+        (["compile", "--template", "Response", "--facts-json", "dfa.json"], set()),
+        (["convert", "--in", "log.lp", "--out", "log.xes"], set()),
+        (["generate", "--template", "Response", "--n", "2", "--len", "3", "--out", "g.lp"],
+         set()),
+        (["validate", "--max-len", "2"], {"fractions"}),
+        *(
+            (["check", "--log", "log.lp", "--model", "model.lp", "--backend", backend,
+              "--out", f"{backend}.json"], {"fractions"})
+            for backend in ("direct", "tree", "dfa")
+        ),
+    ):
+        out = run_python("-c", HEAVY_SCOPE.format(run=run.format(argv=argv)), cwd=workdir)
+        assert out.returncode == 0, (argv, out.stderr)
+        loaded = set(out.stdout.splitlines()[-1].split(",")) - preloaded - allowed - {""}
+        assert not loaded, (argv, loaded)
 
 
 def test_package_names_resolve_on_first_use(workdir):

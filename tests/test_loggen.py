@@ -58,6 +58,15 @@ def test_chain_response_length_two_has_single_positive():
     assert [e.label for e in trace] == ["a_0", "a_1"]
 
 
+@pytest.mark.parametrize("length", [-1, 5])
+def test_sample_trace_rejects_lengths_outside_its_table(length):
+    """The table counts lengths 0 to 4: -1 would read the last row and 5
+    no row at all."""
+    table = PathCountTable.build(build_generator(_con(TemplateKind.RESPONSE), 3), 3, 4)
+    with pytest.raises(GeneratorError, match=f"length {length} is outside"):
+        sample_trace(table, length, seed=0)
+
+
 def test_counts_match_exhaustive_enumeration():
     """The dynamic program equals brute-force string counting."""
     kinds = (
