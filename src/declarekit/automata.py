@@ -234,43 +234,28 @@ def compile_formula(f: Formula, *, state_budget: int = 4096) -> Dfa:
 def minimize(dfa: Dfa) -> Dfa:
     """Language-preserving reduction to the least total DFA.
 
-    Unreachable states are dropped, then blocks are split by acceptance
-    and refined on transition signatures until stable. The blocks are
-    numbered breadth first from the initial state's, so equal languages
+    Blocks are split by acceptance and refined on transition signatures
+    until stable. The blocks are numbered breadth first from the initial
+    state's, so blocks of unreachable states drop out and equal languages
     give equal tables.
     """
     width = len(dfa.named) + 1
-    reachable: list[int] = [dfa.initial]
-    seen = {dfa.initial}
-    qi = 0
-    while qi < len(reachable):
-        s = reachable[qi]
-        qi += 1
-        for col in range(width):
-            t = dfa.moves[s][col]
-            if t not in seen:
-                seen.add(t)
-                reachable.append(t)
-
-    block: dict[int, int] = {s: (1 if s in dfa.accepting else 0) for s in reachable}
+    states = range(dfa.n_states)
+    block = [1 if s in dfa.accepting else 0 for s in states]
     while True:
-        signature: dict[int, tuple[int, ...]] = {
-            s: (block[s],) + tuple(block[dfa.moves[s][c]] for c in range(width))
-            for s in reachable
-        }
         fresh: dict[tuple[int, ...], int] = {}
-        new_block = {}
-        for s in reachable:
-            sig = signature[s]
+        new_block = []
+        for s in states:
+            sig = (block[s],) + tuple([block[t] for t in dfa.moves[s]])
             if sig not in fresh:
                 fresh[sig] = len(fresh)
-            new_block[s] = fresh[sig]
-        if len(fresh) == len(set(block.values())):
+            new_block.append(fresh[sig])
+        if len(fresh) == len(set(block)):
             break
         block = new_block
 
     reps: dict[int, int] = {}
-    for s in reachable:
+    for s in states:
         reps.setdefault(block[s], s)
     index = {block[dfa.initial]: 0}
     order = [block[dfa.initial]]
@@ -297,19 +282,11 @@ def complement(dfa: Dfa) -> Dfa:
 # --------------------------------------------------------------------------
 # Colored automata: automata over one alphabet walk a log together
 
-# A group of automata whose product has more states than this is split in
-# two, which bounds each part's dense transition table.
-_PRODUCT_STATES = 512
-
-
-def _colored_product(
-    dfas: Sequence[Dfa], limit: int | None
-) -> tuple[list[list[int]], list[tuple[bool, ...]]] | None:
+def _colored_product(dfas: Sequence[Dfa]) -> tuple[list[list[int]], list[tuple[bool, ...]]]:
     """The synchronous product of automata over one alphabet, breadth first.
 
     Returns (moves, colors): state 0 is initial, moves[s][col] is as in
     `Dfa.moves`, and colors[s] tells which of `dfas` accept in state s.
-    Returns None when two or more automata reach over `limit` states.
     """
     width = len(dfas[0].named) + 1
     start = tuple(d.initial for d in dfas)
@@ -322,8 +299,6 @@ def _colored_product(
             succ = tuple([d.moves[s][col] for d, s in zip(dfas, state)])
             nxt = ids.get(succ)
             if nxt is None:
-                if len(states) == limit and len(dfas) > 1:
-                    return None
                 nxt = ids[succ] = len(states)
                 states.append(succ)
             row.append(nxt)
@@ -336,7 +311,7 @@ def product(*dfas: Dfa) -> Dfa:
     """Synchronous product over a shared alphabet: the intersection."""
     if not dfas or any(d.named != dfas[0].named for d in dfas):
         raise ValueError("product requires identical named symbol tuples")
-    moves, colors = _colored_product(dfas, None)
+    moves, colors = _colored_product(dfas)
     accepting = frozenset(s for s, color in enumerate(colors) if all(color))
     return Dfa(named=dfas[0].named, moves=tuple(map(tuple, moves)), initial=0, accepting=accepting)
 
@@ -355,15 +330,8 @@ def walk_log(dfas: Sequence[Dfa], coded: CodedLog) -> list[bytearray]:
     groups: dict[tuple[Activity, ...], list[int]] = {}
     for j, dfa in enumerate(dfas):
         groups.setdefault(dfa.named, []).append(j)
-    parts = list(groups.values())
-    while parts:
-        members = parts.pop()
-        built = _colored_product([dfas[j] for j in members], _PRODUCT_STATES)
-        if built is None:
-            half = len(members) // 2
-            parts += (members[:half], members[half:])
-            continue
-        moves, colors = built
+    for members in groups.values():
+        moves, colors = _colored_product([dfas[j] for j in members])
         named = dfas[members[0]].named
         column = [len(named)] * (len(coded.codes) + 1)
         for i, a in enumerate(named):
@@ -447,11 +415,10 @@ def to_dot(
     *,
     activation: Activity | None = None,
     target: Activity | None = None,
-    name: str = "dfa",
 ) -> str:
     """Graphviz rendering with doubled accepting states and an entry arrow."""
     names = _symbol_names(dfa, activation, target)
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    lines = ["digraph dfa {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for s in range(dfa.n_states):
         shape = "doublecircle" if s in dfa.accepting else "circle"
         lines.append(f"  q{s} [shape={shape}, label=\"{s}\"];")

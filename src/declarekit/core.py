@@ -260,7 +260,7 @@ class TemplateKind(Enum):
 
     @property
     def camel(self) -> str:
-        return _CAMEL[self]
+        return self.name.title().replace("_", "")
 
     @classmethod
     def from_name(cls, name: str) -> "TemplateKind":
@@ -272,26 +272,10 @@ class TemplateKind(Enum):
         return kind
 
 
-_CAMEL: dict[TemplateKind, str] = {
-    TemplateKind.CHOICE: "Choice",
-    TemplateKind.EXCLUSIVE_CHOICE: "ExclusiveChoice",
-    TemplateKind.RESPONDED_EXISTENCE: "RespondedExistence",
-    TemplateKind.COEXISTENCE: "Coexistence",
-    TemplateKind.RESPONSE: "Response",
-    TemplateKind.PRECEDENCE: "Precedence",
-    TemplateKind.ALTERNATE_RESPONSE: "AlternateResponse",
-    TemplateKind.ALTERNATE_PRECEDENCE: "AlternatePrecedence",
-    TemplateKind.CHAIN_RESPONSE: "ChainResponse",
-    TemplateKind.CHAIN_PRECEDENCE: "ChainPrecedence",
-    TemplateKind.SUCCESSION: "Succession",
-    TemplateKind.ALTERNATE_SUCCESSION: "AlternateSuccession",
-    TemplateKind.CHAIN_SUCCESSION: "ChainSuccession",
-}
-
 _BY_NAME: dict[str, TemplateKind] = {}
 for _k in TemplateKind:
     _BY_NAME[_k.value] = _k
-    _BY_NAME[_CAMEL[_k]] = _k
+    _BY_NAME[_k.camel] = _k
 
 
 class Constraint(Record):

@@ -17,7 +17,6 @@ from itertools import repeat
 from typing import Mapping, Sequence
 
 from .core import Activity, CodedLog, Constraint, Record, TemplateKind, Trace
-from .ltlf import ev_empty, template_formula
 
 # Reason tags, stable for report consumers.
 ACTIVATION_WITHOUT_TARGET = "activation_without_target"
@@ -247,7 +246,8 @@ def check_direct(constraint: Constraint, trace: Trace) -> DirectVerdict:
     tgt = constraint.target
 
     if not events:
-        sat = ev_empty(template_formula(kind, act, tgt))
+        # Only Choice and Exclusive Choice ask for an occurrence.
+        sat = kind not in (_K.CHOICE, _K.EXCLUSIVE_CHOICE)
         failures = () if sat else ((None, EMPTY_TRACE),)
         return DirectVerdict(sat=sat, failures=failures, witnesses={}, steps=0)
 
@@ -316,7 +316,7 @@ def _log_chain_succession(traces, a, b):
 
 # Each kind's rule for an activation character a and a different target
 # character b: (traces, a, b) -> per trace, whether the constraint holds.
-# On the empty string each gives ev_empty's value for its kind.
+# On the empty string only Choice and Exclusive Choice fail.
 _LOG_RULES = {
     _K.CHOICE: lambda t, a, b: map(operator.or_, _has(t, a), _has(t, b)),
     _K.EXCLUSIVE_CHOICE: lambda t, a, b: map(operator.ne, _has(t, a), _has(t, b)),

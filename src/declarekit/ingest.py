@@ -435,22 +435,11 @@ def parse_xes(source) -> EventLog:
     file included, is the document itself. Only event concept:name
     attributes are read; trace ids follow document order.
     """
-    import gzip  # imported here, as in save_log: only XES paths need these
-    import zlib
-    from xml.etree import ElementTree
-
     if isinstance(source, os.PathLike):
-        path = os.fspath(source)
-        opener = gzip.open if path.endswith(".gz") else open
-        with opener(source, "rb") as fh:
-            try:
-                data = fh.read()
-            except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
-                raise IngestError(f"{path}: {exc}") from None
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
+        return _parse_file(source, parse_xes, _read_bytes)
+    from xml.etree import ElementTree  # imported here: only XES documents need it
+
+    data = source.read() if hasattr(source, "read") else source
     if isinstance(data, str):
         data = data.encode("utf-8")
     try:
@@ -522,8 +511,8 @@ def parse_csv(source) -> EventLog:
     are ordered by their positions, which must not repeat within a case.
     """
     if isinstance(source, os.PathLike):
-        source = _read_text(source)
-    elif hasattr(source, "read"):
+        return _parse_file(source, _parse_csv_text)
+    if hasattr(source, "read"):
         source = source.read()
     return _parse_csv_text(source)
 
@@ -868,19 +857,41 @@ def _read_text(path) -> str:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise IngestError(f"{os.fspath(path)}: {exc}") from None
+            raise IngestError(str(exc)) from None
+
+
+def _read_bytes(path) -> bytes:
+    """A file's bytes, decompressed when its name ends in .gz."""
+    import gzip  # imported here, as in save_log: only XES paths need these
+    import zlib
+
+    opener = gzip.open if os.fspath(path).endswith(".gz") else open
+    with opener(path, "rb") as fh:
+        try:
+            return fh.read()
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise IngestError(str(exc)) from None
+
+
+def _parse_file(path, parse, read=_read_text):
+    """parse(read(path)), with the path at the head of any IngestError
+    either raises; the error keeps its line."""
+    try:
+        return parse(read(path))
+    except IngestError as exc:
+        exc.args = (f"{os.fspath(path)}: {exc}",)
+        raise
 
 
 def load_log(path) -> EventLog:
     """Read a log by extension: .xes, .xes.gz, .lp (facts), or .csv."""
-    p = Path(path)
-    name = p.name
+    name = Path(path).name
     if name.endswith(".xes") or name.endswith(".xes.gz"):
-        return parse_xes(p)
+        return _parse_file(path, parse_xes, _read_bytes)
     if name.endswith(".lp"):
-        return parse_factlog(_read_text(p))
+        return _parse_file(path, parse_factlog)
     if name.endswith(".csv"):
-        return _parse_csv_text(_read_text(p))
+        return _parse_file(path, _parse_csv_text)
     raise IngestError(
         f"cannot infer log format from suffix of {name!r}; "
         "expected .lp, .csv, .xes, or .xes.gz"
@@ -912,8 +923,8 @@ def save_log(log: EventLog, path) -> None:
 
 
 def load_model(path) -> DeclareModel:
-    return parse_model(_read_text(path))
+    return _parse_file(path, parse_model)
 
 
 def load_query(path) -> Query:
-    return parse_query(_read_text(path))
+    return _parse_file(path, parse_query)

@@ -1,7 +1,9 @@
 """Tests for formula-to-DFA compilation, minimization, and exports."""
 
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -83,10 +85,58 @@ def test_template_dfas_are_minimal():
         assert_minimal(template_dfa(kind, A, B))
 
 
+def _with_unreachable_states(dfa):
+    """`dfa` behind three states no symbol reaches, numbered first: one
+    accepting sink, one copy of the initial state and one that enters both."""
+    shift = [s + 3 for s in range(dfa.n_states)]
+    width = len(dfa.named) + 1
+    moves = (
+        (0,) * width,
+        tuple(shift[t] for t in dfa.moves[dfa.initial]),
+        (1,) + (0,) * (width - 1),
+        *(tuple(shift[t] for t in row) for row in dfa.moves),
+    )
+    accepting = {0} | {shift[s] for s in dfa.accepting}
+    if dfa.initial in dfa.accepting:
+        accepting.add(1)
+    return automata.Dfa(dfa.named, moves, shift[dfa.initial], frozenset(accepting))
+
+
+def _reachable_part(dfa):
+    """The states reachable from the initial one, renumbered in order."""
+    states, number = [dfa.initial], {dfa.initial: 0}
+    for s in states:  # grows as the walk finds states
+        for t in dfa.moves[s]:
+            if t not in number:
+                number[t] = len(states)
+                states.append(t)
+    moves = tuple(tuple(number[t] for t in dfa.moves[s]) for s in states)
+    accepting = frozenset(number[s] for s in dfa.accepting if s in number)
+    return automata.Dfa(dfa.named, moves, 0, accepting)
+
+
 def test_minimize_is_idempotent():
+    """Minimizing a minimal DFA changes nothing, and states that no symbol
+    reaches change nothing either: a DFA minimizes to the same table as its
+    reachable part."""
     for kind in TemplateKind:
-        dfa = template_dfa(kind, A, B)
-        assert minimize(dfa) == dfa
+        for act, tgt in _PAIRS:
+            dfa = template_dfa(kind, act, tgt)
+            raw = compile_formula(template_formula(kind, act, tgt))
+            assert minimize(dfa) == dfa
+            for whole in (dfa, complement(dfa), raw, complement(raw)):
+                padded = _with_unreachable_states(whole)
+                assert minimize(padded) == minimize(whole), (kind, act, tgt)
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        named = (A, B)[: rng.randint(0, 2)]
+        moves = tuple(
+            tuple(rng.randrange(n) for _ in range(len(named) + 1)) for _ in range(n)
+        )
+        accepting = frozenset(s for s in range(n) if rng.random() < 0.5)
+        dfa = automata.Dfa(named, moves, rng.randrange(n), accepting)
+        assert minimize(dfa) == minimize(_reachable_part(dfa)), dfa
 
 
 def _breadth_first_order(dfa):
@@ -169,33 +219,15 @@ def test_colored_products_match_each_automaton_on_every_short_trace():
     dense walks."""
     dfas = [template_dfa(kind, x, y) for kind in TemplateKind for x, y in _PAIRS]
     assert len({dfa.named for dfa in dfas}) == 2  # (a, b) and (b, a) share a product
+    # Any group walk_log builds holds only copies of these automata, so no
+    # product has more states than theirs.
+    moves, _ = automata._colored_product([dfa for dfa in dfas if dfa.named == (A, B)])
+    assert len(moves) == 61
     traces = sweep_with_empty_traces(8)
     verdicts = walk_log(dfas, code_events(traces, (A, B)))
     for i, trace in enumerate(traces):
         got = tuple(column[i] == 1 for column in verdicts)
         assert got == tuple(dfa.accepts(trace.events) for dfa in dfas), trace.events
-
-
-def test_oversized_product_is_split(monkeypatch):
-    """A group whose product exceeds the state cap walks in parts, with the
-    same verdicts."""
-    dfas = [template_dfa(kind, x, y) for kind in TemplateKind for x, y in _PAIRS]
-    traces = sweep_with_empty_traces(5)
-    coded = code_events(traces, (A, B))
-    whole = walk_log(dfas, coded)
-    built = []
-    real = automata._colored_product
-
-    def recording(parts, limit):
-        product = real(parts, limit)
-        built.append((len(parts), product is None))
-        return product
-
-    monkeypatch.setattr(automata, "_PRODUCT_STATES", 4)
-    monkeypatch.setattr(automata, "_colored_product", recording)
-    assert walk_log(dfas, coded) == whole
-    assert (26, True) in built  # the (a, b) group, over the cap
-    assert max(size for size, failed in built if not failed) < 26
 
 
 def test_minimize_preserves_language():
@@ -276,6 +308,76 @@ def test_dot_output_shape():
     assert dot.startswith("digraph")
     assert "doublecircle" in dot
     assert "arg_0" in dot and "*" in dot
+
+
+# SHA-256 of to_facts_json(dfa, kind.camel) and of to_dot(dfa) for each
+# kind's automaton over arg_0 and arg_1.
+_EXPORT_DIGESTS = {
+    TemplateKind.CHOICE: (
+        "56a7d682455865449430af0b35beae4e49c555887206cfec54763a2f6c8e373f",
+        "1792eca48bbb457720bd2f73fccf51b5829b386bbb24db63e1cf65655796ec31",
+    ),
+    TemplateKind.EXCLUSIVE_CHOICE: (
+        "5e7eb0fdb62207f35a36d708d64838499c881b51cd2a9120f861a2f70838f20a",
+        "1fb91e4921a1ac3a7319ac003b766266aeb458eface2b93230b9bec1ee019275",
+    ),
+    TemplateKind.RESPONDED_EXISTENCE: (
+        "5575864245d0011084e28fd7646c3151f898a8b96e035a2343d5f995121cd508",
+        "23deacc3cc4345d40e3f67c57fcd5db1ee5868a43f07f791b909ff8596c805f9",
+    ),
+    TemplateKind.COEXISTENCE: (
+        "0e05bb40eea0cca4a4a5f7a233b598c96bc82a025f838d25d7865059caaae5b2",
+        "a93aaef63253843dffff8200cdcae57b631868cf7adaebf5059c794880dc9029",
+    ),
+    TemplateKind.RESPONSE: (
+        "449ae6eceaa0a4d9b11766ac6cc3caa70148aa1eb09b87bc8f70bb563ded42d5",
+        "fca96a4270c5cd60d6b1b1d0d79b54f2a17bfabe5c1d2aa9b8bc0a11cb577507",
+    ),
+    TemplateKind.PRECEDENCE: (
+        "21a1126dcc8743a5404bc4faffb034f8a2cf7dbe346ea0c45a579f209d045326",
+        "932b78ff8979e77032d70ee22647a0fbb4438661165270cac398eb6e67359078",
+    ),
+    TemplateKind.ALTERNATE_RESPONSE: (
+        "61050a9d1028d86b8c0bd96b10f312944f52f94157d270368dd2365503bece1a",
+        "387bc0bab38fd278b7ccfd859c275e8e8e1928369408f53314425b49d41ae248",
+    ),
+    TemplateKind.ALTERNATE_PRECEDENCE: (
+        "803eaeaf0ac46bec8d24cf3b8fdf08afe41d063a2b6b235773c0356a36aa1788",
+        "4dacc7ccf68a69474cc3977653b7aed34613b5293b789fe88d323a8bad862c35",
+    ),
+    TemplateKind.CHAIN_RESPONSE: (
+        "56d6511e1f29d111272c00ead7e88135748a2baf69fa9f07b0cd6d96ecc28113",
+        "2bf0bf99542f83f6d121558ae09cebddaf0a119da631da99f7d1ea535b1ba185",
+    ),
+    TemplateKind.CHAIN_PRECEDENCE: (
+        "98da8c55ff46ba4f494c2dd91083de7f5687da7f82d21869485a9305e31f6573",
+        "12d55fbc88ebdb52b2f6aa097c091a403c39071373ef544b7462c159459ee4bb",
+    ),
+    TemplateKind.SUCCESSION: (
+        "a697240a693165d4799c7d8008002bd8ae4639a6d4c744815b36de6c094bc091",
+        "1641cf2e830c0e6c6a765e411614d64b0ead355da355bd0cf55bf605aaa9c3af",
+    ),
+    TemplateKind.ALTERNATE_SUCCESSION: (
+        "4b998f250c1a0256158001f9bc0724f9ec90d7047e52eda2719e87fb00858715",
+        "6384a08d9b06cc21c535ed361b13270de7488cf7a7c2d79b63ee202aa218f3c7",
+    ),
+    TemplateKind.CHAIN_SUCCESSION: (
+        "73f941fdd1c5bf47d2ec8f23a65207f269982ea5d63fb9adee4e6b8c56c7f402",
+        "0c4e48c397cee7c6f9d8b062ff5a499644bebf1f1e41c626031d40c09b66484e",
+    ),
+}
+
+
+def test_template_exports_are_pinned():
+    """Every template's facts and dot bytes, so minimize's canonical
+    numbering cannot drift."""
+    for kind in TemplateKind:
+        dfa = template_dfa(kind, Activity("arg_0"), Activity("arg_1"))
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (to_facts_json(dfa, kind.camel), to_dot(dfa))
+        )
+        assert digests == _EXPORT_DIGESTS[kind], kind
 
 
 def test_minimal_state_counts_are_stable():

@@ -105,11 +105,12 @@ def test_check_missing_file_exits_two(workdir):
 
 
 def test_unreadable_input_or_output_exits_two(workdir):
-    """A directory for a file, a .xes.gz that is not gzip and text that is
-    not UTF-8 each end in one declarekit: line that names the file, and
-    exit 2."""
+    """A directory for a file, a .xes.gz that is not gzip, text that is
+    not UTF-8, a .xes that is not XML and a model read as a log each end
+    in one declarekit: line that names the file, and exit 2."""
     (workdir / "dir.lp").mkdir()
     (workdir / "bad.xes.gz").write_bytes(b"trace(0,0,a).\n")
+    (workdir / "bad.xes").write_bytes(b"trace(0,0,a).\n")
     (workdir / "bad.csv").write_bytes(b"case_id,activity\n0,\xff\n")
     (workdir / "bad.lp").write_bytes(b'trace(0,0,"\xff").\n')
     for name, args in (
@@ -117,6 +118,8 @@ def test_unreadable_input_or_output_exits_two(workdir):
         ("dir.lp", ("check", "--log", "log.lp", "--model", "dir.lp")),
         ("dir.lp", ("check", "--log", "log.lp", "--model", "model.lp", "--out", "dir.lp")),
         ("bad.xes.gz", ("check", "--log", "bad.xes.gz", "--model", "model.lp")),
+        ("bad.xes", ("check", "--log", "bad.xes", "--model", "model.lp")),
+        ("model.lp", ("check", "--log", "model.lp", "--model", "log.lp")),
         ("bad.lp", ("check", "--log", "log.lp", "--model", "bad.lp")),
         ("bad.csv", ("convert", "--in", "bad.csv", "--out", "out.lp")),
         ("bad.lp", ("convert", "--in", "bad.lp", "--out", "out.csv")),

@@ -30,6 +30,7 @@ from declarekit.direct import (
 )
 
 from oracles import all_traces
+from test_cli import run_python
 
 A, B = Activity("a"), Activity("b")
 
@@ -107,6 +108,14 @@ def test_empty_trace_verdicts():
         else:
             assert v.sat, kind
             assert v.failures == (), kind
+
+
+def test_direct_loads_no_formula_layer():
+    """The direct backend decides every trace, the empty one included,
+    without the formula module."""
+    out = run_python("-c", "import sys, declarekit.direct\nprint('declarekit.ltlf' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_failures_exactly_when_unsat():

@@ -857,11 +857,15 @@ def test_cr_and_crlf_files_keep_error_line_numbers(tmp_path):
         with pytest.raises(IngestError) as err:
             load_log(bad_lp)
         assert err.value.line == 3, eol
+        assert str(err.value).startswith(f"{bad_lp}: line 3: "), eol
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_bytes(b"case_id,activity\r\n0,a\r\n0,b,9\r\n")
-    with pytest.raises(IngestError, match="columns") as err:
-        load_log(bad_csv)
-    assert err.value.line == 3
+    for read in (load_log, parse_csv):
+        with pytest.raises(IngestError, match="columns") as err:
+            read(bad_csv)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"{bad_csv}: line 3: ")
+        assert str(err.value).count(str(bad_csv)) == 1
 
     # A "%" comment ends at a lone "\r" too, so the facts after it are kept.
     commented_lp = tmp_path / "commented.lp"
