@@ -37,6 +37,7 @@ from .ltlf import (
     ev_empty,
     nnf,
     pretty,
+    template_formula,
 )
 
 
@@ -440,6 +441,4 @@ def to_dot(
 @lru_cache(maxsize=1024)
 def template_dfa(kind, activation: Activity, target: Activity) -> Dfa:
     """Minimal DFA of one template instance (cached)."""
-    from .ltlf import template_formula
-
     return minimize(compile_formula(template_formula(kind, activation, target)))

@@ -240,20 +240,16 @@ def _cmd_compile(args) -> int:
     if not args.dot and not args.facts_json:
         raise ValueError("compile needs --dot and/or --facts-json")
     if args.template:
-        activation, target = Activity("arg_0"), Activity("arg_1")
-        formula = _module.template_formula(args.template, activation, target)
-        dfa = _module.minimize(_module.compile_formula(formula))
+        formula = _module.template_formula(args.template, Activity("arg_0"), Activity("arg_1"))
         kind = args.template.camel
     else:
         formula = _module.parse_formula(args.formula)
-        dfa = _module.minimize(_module.compile_formula(formula))
-        activation = target = None
         kind = _module.pretty(formula)
+    dfa = _module.minimize(_module.compile_formula(formula))
     if args.dot:
-        _emit(args.dot, _module.to_dot(dfa, activation=activation, target=target))
+        _emit(args.dot, _module.to_dot(dfa))
     if args.facts_json:
-        facts = _module.to_facts_json(dfa, kind, activation=activation, target=target)
-        _emit(args.facts_json, facts)
+        _emit(args.facts_json, _module.to_facts_json(dfa, kind))
     return 0
 
 

@@ -401,6 +401,7 @@ def parse_query(text: str) -> Query:
 
     facts = _ConstraintFacts()
     domains: dict[Variable, list[Activity]] = {}
+    first_line: dict[Variable, int] = {}  # of each variable's first domain/2 fact
     for fact in _FactScanner(text).facts():
         if facts.read(fact):
             continue
@@ -409,6 +410,7 @@ def parse_query(text: str) -> Query:
         elif fact.name == "domain" and len(fact.args) == 2:
             var = _as_variable(fact.args[0], fact.line)
             domains.setdefault(var, []).append(_as_activity(fact.args[1], fact.line))
+            first_line.setdefault(var, fact.line)
         else:
             raise IngestError(
                 "expected constraint/2, bind/3, var_bind/3 or domain/2 facts",
@@ -417,7 +419,12 @@ def parse_query(text: str) -> Query:
     terms = tuple(QueryTerm(kind, arg_0, arg_1) for _, kind, arg_0, arg_1 in facts.complete())
     if not terms:
         raise IngestError("query declares no constraints")
-    return Query(terms=terms, domains={v: tuple(acts) for v, acts in domains.items()})
+    query = Query(terms=terms, domains={v: tuple(acts) for v, acts in domains.items()})
+    used = query.variables()
+    for var, line in first_line.items():
+        if var not in used:
+            raise IngestError(f"domain/2 restricts var({var.name}), which no term uses", line)
+    return query
 
 
 # --------------------------------------------------------------------------
@@ -852,7 +859,7 @@ def write_report(
 # Path-based loading
 
 def _read_text(path) -> str:
-    # newline="" here and in save_log: "\r" and "\r\n" inside labels survive.
+    # newline="" here and in _write_text: "\r" and "\r\n" inside labels survive.
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             return fh.read()
@@ -862,7 +869,7 @@ def _read_text(path) -> str:
 
 def _read_bytes(path) -> bytes:
     """A file's bytes, decompressed when its name ends in .gz."""
-    import gzip  # imported here, as in save_log: only XES paths need these
+    import gzip  # imported here, as in _write_text: only XES paths need these
     import zlib
 
     opener = gzip.open if os.fspath(path).endswith(".gz") else open
@@ -883,43 +890,48 @@ def _parse_file(path, parse, read=_read_text):
         raise
 
 
-def load_log(path) -> EventLog:
-    """Read a log by extension: .xes, .xes.gz, .lp (facts), or .csv."""
+def _write_text(path, text: str) -> None:
+    """Write text, compressed when the name ends in .gz."""
+    if os.fspath(path).endswith(".gz"):
+        import gzip
+
+        with gzip.open(path, "wt", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+# Each log suffix with its reader, the read whose result the reader takes,
+# and its writer. _read_bytes and _write_text handle the .gz.
+_LOG_FORMATS = (
+    (".xes.gz", parse_xes, _read_bytes, write_xes),
+    (".xes", parse_xes, _read_bytes, write_xes),
+    (".lp", parse_factlog, _read_text, write_factlog),
+    (".csv", _parse_csv_text, _read_text, write_csv),
+)
+
+
+def _log_format(path):
+    """The (reader, read, writer) of a log path, chosen by suffix."""
     name = Path(path).name
-    if name.endswith(".xes") or name.endswith(".xes.gz"):
-        return _parse_file(path, parse_xes, _read_bytes)
-    if name.endswith(".lp"):
-        return _parse_file(path, parse_factlog)
-    if name.endswith(".csv"):
-        return _parse_file(path, _parse_csv_text)
+    for suffix, *fmt in _LOG_FORMATS:
+        if name.endswith(suffix):
+            return fmt
     raise IngestError(
         f"cannot infer log format from suffix of {name!r}; "
         "expected .lp, .csv, .xes, or .xes.gz"
     )
+
+
+def load_log(path) -> EventLog:
+    """Read a log by extension: .xes, .xes.gz, .lp (facts), or .csv."""
+    parse, read, _ = _log_format(path)
+    return _parse_file(path, parse, read)
 
 
 def save_log(log: EventLog, path) -> None:
-    p = Path(path)
-    name = p.name
-    if name.endswith(".xes.gz"):
-        import gzip
-
-        with gzip.open(p, "wt", encoding="utf-8", newline="") as fh:
-            fh.write(write_xes(log))
-        return
-    if name.endswith(".xes"):
-        p.write_text(write_xes(log), encoding="utf-8", newline="")
-        return
-    if name.endswith(".lp"):
-        p.write_text(write_factlog(log), encoding="utf-8", newline="")
-        return
-    if name.endswith(".csv"):
-        p.write_text(write_csv(log), encoding="utf-8", newline="")
-        return
-    raise IngestError(
-        f"cannot infer log format from suffix of {name!r}; "
-        "expected .lp, .csv, .xes, or .xes.gz"
-    )
+    _, _, write = _log_format(path)
+    _write_text(path, write(log))
 
 
 def load_model(path) -> DeclareModel:

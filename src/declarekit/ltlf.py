@@ -177,6 +177,41 @@ FALSE = FalseConst()
 
 
 # --------------------------------------------------------------------------
+# Operator table: the parser, the printer and nnf all read it
+
+# Binary levels, loosest first, as (spelling to class, n-ary). An n-ary
+# level gathers a chain into one node; the other levels are right
+# associative. Unary operators bind tighter than every level.
+_BINARY_LEVELS: tuple[tuple[dict[str, type], bool], ...] = (
+    ({"<->": Iff}, False),
+    ({"->": Implies}, False),
+    ({"|": Or}, True),
+    ({"&": And}, True),
+    ({"U": Until, "W": WeakUntil, "R": Release}, False),
+)
+_UNARY = {"!": Not, "X": Next, "Xw": WeakNext, "F": Eventually, "G": Globally}
+_UNARY_LEVEL = len(_BINARY_LEVELS)
+
+# Each operator class's spelling and level.
+_SYNTAX: dict[type, tuple[str, int]] = {
+    cls: (op, level)
+    for level, (ops, _) in enumerate(_BINARY_LEVELS)
+    for op, cls in ops.items()
+}
+_SYNTAX.update((cls, (op, _UNARY_LEVEL)) for op, cls in _UNARY.items())
+
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+
+# Words an unquoted label cannot be; the symbols among them are never
+# read as a label anyway.
+_RESERVED = {*_CONSTANTS, *(op for op, _ in _SYNTAX.values())}
+
+# Negation pushed through an operator gives its dual over negated operands.
+_DUAL = {And: Or, Next: WeakNext, Until: Release, Eventually: Globally}
+_DUAL.update({dual: cls for cls, dual in _DUAL.items()})
+
+
+# --------------------------------------------------------------------------
 # Parsing
 
 class FormulaSyntaxError(ValueError):
@@ -187,23 +222,18 @@ class FormulaSyntaxError(ValueError):
         self.offset = offset
 
 
-_RESERVED = {"X", "Xw", "F", "G", "U", "W", "R", "true", "false"}
-
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
-    | (?P<iff><->)
-    | (?P<implies>->)
+    | (?P<op><->|->|[&|!])
     | (?P<lparen>\()
     | (?P<rparen>\))
-    | (?P<and>&)
-    | (?P<or>\|)
-    | (?P<not>!)
     | (?P<quoted>"(?:[^"\\]|\\.)*")
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
 )
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -222,125 +252,66 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _unquote(tok: str, offset: int) -> str:
+    # The token pattern lets a backslash escape any character but a newline.
     body = tok[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in '"\\':
-                raise FormulaSyntaxError("bad escape in quoted label", offset + i + 1)
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    for m in _ESCAPE_RE.finditer(body):
+        if m.group(1) not in '"\\':
+            raise FormulaSyntaxError("bad escape in quoted label", offset + m.start() + 1)
+    return _ESCAPE_RE.sub(r"\1", body)
 
 
 class _Parser:
-    """Recursive descent over the operator precedence chain.
-
-    Tightest to loosest: unary (!/X/Xw/F/G), then U/W/R (right
-    associative), then &, |, -> and <-> (both right associative).
-    """
+    """Precedence climbing over _BINARY_LEVELS, with unary operators and
+    operands below the tightest level. An operator is found by its token's
+    text: no other token spells one, as a quoted label keeps its quotes."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
     def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
-
     def parse(self) -> Formula:
-        f = self.iff()
-        kind, text, offset = self.peek()
+        f = self.binary(0)
+        kind, text, offset = self.tokens[self.i]
         if kind != "end":
             raise FormulaSyntaxError(f"unexpected trailing input {text!r}", offset)
         return f
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek()[0] == "iff":
-            self.advance()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "implies":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.peek()[0] == "or":
-            self.advance()
-            parts.append(self.conjunction())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def conjunction(self) -> Formula:
-        parts = [self.temporal()]
-        while self.peek()[0] == "and":
-            self.advance()
-            parts.append(self.temporal())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def temporal(self) -> Formula:
-        left = self.unary()
-        kind, text, _ = self.peek()
-        if kind == "ident" and text in ("U", "W", "R"):
-            self.advance()
-            right = self.temporal()
-            if text == "U":
-                return Until(left, right)
-            if text == "W":
-                return WeakUntil(left, right)
-            return Release(left, right)
-        return left
+    def binary(self, level: int) -> Formula:
+        if level == _UNARY_LEVEL:
+            return self.unary()
+        ops, nary = _BINARY_LEVELS[level]
+        parts = [self.binary(level + 1)]
+        while self.tokens[self.i][1] in ops:
+            cls = ops[self.advance()[1]]
+            if not nary:
+                return cls(parts[0], self.binary(level))
+            parts.append(self.binary(level + 1))
+        return parts[0] if len(parts) == 1 else cls(tuple(parts))
 
     def unary(self) -> Formula:
-        kind, text, offset = self.peek()
-        if kind == "not":
-            self.advance()
-            return Not(self.unary())
-        if kind == "ident" and text in ("X", "Xw", "F", "G"):
-            self.advance()
-            arg = self.unary()
-            if text == "X":
-                return Next(arg)
-            if text == "Xw":
-                return WeakNext(arg)
-            if text == "F":
-                return Eventually(arg)
-            return Globally(arg)
-        return self.primary()
-
-    def primary(self) -> Formula:
         kind, text, offset = self.advance()
+        if text in _UNARY:
+            return _UNARY[text](self.unary())
         if kind == "lparen":
-            f = self.iff()
-            self.expect("rparen")
+            f = self.binary(0)
+            kind, text, offset = self.advance()
+            if kind != "rparen":
+                raise FormulaSyntaxError(f"expected rparen, found {text!r}", offset)
             return f
         if kind == "quoted":
-            return Atom(Activity(_unquote(text, offset)))
+            label = _unquote(text, offset)
+            try:
+                return Atom(Activity(label))
+            except ValueError as exc:  # an empty or reserved label
+                raise FormulaSyntaxError(str(exc), offset) from None
         if kind == "ident":
-            if text == "true":
-                return TRUE
-            if text == "false":
-                return FALSE
+            if text in _CONSTANTS:
+                return _CONSTANTS[text]
             if text in _RESERVED:
                 raise FormulaSyntaxError(
                     f"operator {text!r} found where an operand was expected", offset
@@ -359,15 +330,6 @@ def parse_formula(text: str) -> Formula:
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Binding strength, loosest first. Children at strictly weaker levels get
-# parenthesized; right-associative binaries reuse their own level on the right.
-_LEVEL_IFF = 0
-_LEVEL_IMPLIES = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_TEMPORAL = 4
-_LEVEL_UNARY = 5
-
 
 def _atom_text(a: Activity) -> str:
     if _IDENT_RE.match(a.label) and a.label not in _RESERVED:
@@ -377,40 +339,33 @@ def _atom_text(a: Activity) -> str:
 
 
 def _pp(f: Formula, level: int) -> str:
+    """f printed where the context binds at `level`: a node at a looser
+    level gets brackets. Right-associative operators print their right
+    operand at their own level, every other operand one level tighter."""
+    if isinstance(f, Atom):
+        return _atom_text(f.activity)
     if isinstance(f, TrueConst):
         return "true"
     if isinstance(f, FalseConst):
         return "false"
-    if isinstance(f, Atom):
-        return _atom_text(f.activity)
-    if isinstance(f, Not):
-        return "!" + _pp(f.arg, _LEVEL_UNARY)
-    if isinstance(f, (Next, WeakNext, Eventually, Globally)):
-        op = {Next: "X", WeakNext: "Xw", Eventually: "F", Globally: "G"}[type(f)]
-        arg = _pp(f.arg, _LEVEL_UNARY)
-        return f"{op}{arg}" if arg.startswith("(") else f"{op} {arg}"
-    if isinstance(f, (Until, WeakUntil, Release)):
-        op = {Until: "U", WeakUntil: "W", Release: "R"}[type(f)]
-        text = f"{_pp(f.left, _LEVEL_UNARY)} {op} {_pp(f.right, _LEVEL_TEMPORAL)}"
-        return f"({text})" if level > _LEVEL_TEMPORAL else text
-    if isinstance(f, And):
-        text = " & ".join(_pp(x, _LEVEL_TEMPORAL) for x in f.args)
-        return f"({text})" if level > _LEVEL_AND else text
-    if isinstance(f, Or):
-        text = " | ".join(_pp(x, _LEVEL_AND) for x in f.args)
-        return f"({text})" if level > _LEVEL_OR else text
-    if isinstance(f, Implies):
-        text = f"{_pp(f.left, _LEVEL_OR)} -> {_pp(f.right, _LEVEL_IMPLIES)}"
-        return f"({text})" if level > _LEVEL_IMPLIES else text
-    if isinstance(f, Iff):
-        text = f"{_pp(f.left, _LEVEL_IMPLIES)} <-> {_pp(f.right, _LEVEL_IFF)}"
-        return f"({text})" if level > _LEVEL_IFF else text
-    raise TypeError(f"not a formula node: {f!r}")
+    syntax = _SYNTAX.get(type(f))
+    if syntax is None:
+        raise TypeError(f"not a formula node: {f!r}")
+    op, own = syntax
+    if own == _UNARY_LEVEL:
+        arg = _pp(f.arg, own)
+        # A word operator is spaced from an operand that opens no bracket.
+        return f"{op} {arg}" if op.isalpha() and not arg.startswith("(") else op + arg
+    if isinstance(f, _Nary):
+        text = f" {op} ".join(_pp(x, own + 1) for x in f.args)
+    else:
+        text = f"{_pp(f.left, own + 1)} {op} {_pp(f.right, own)}"
+    return f"({text})" if level > own else text
 
 
 def pretty(f: Formula) -> str:
     """Render with minimal parentheses; parse_formula(pretty(f)) == f."""
-    return _pp(f, _LEVEL_IFF)
+    return _pp(f, 0)
 
 
 # --------------------------------------------------------------------------
@@ -527,46 +482,28 @@ def _nnf(f: Formula, positive: bool) -> Formula:
         return FALSE if positive else TRUE
     if isinstance(f, Atom):
         return f if positive else Not(f)
-    if isinstance(f, Not):
+    cls = type(f)
+    if cls is Not:
         return _nnf(f.arg, not positive)
-    if isinstance(f, And):
-        parts = tuple(_nnf(x, positive) for x in f.args)
-        return And(parts) if positive else Or(parts)
-    if isinstance(f, Or):
-        parts = tuple(_nnf(x, positive) for x in f.args)
-        return Or(parts) if positive else And(parts)
-    if isinstance(f, Implies):
+    if cls is Implies:
         if positive:
             return Or((_nnf(f.left, False), _nnf(f.right, True)))
         return And((_nnf(f.left, True), _nnf(f.right, False)))
-    if isinstance(f, Iff):
+    if cls is Iff:
         l_pos, l_neg = _nnf(f.left, True), _nnf(f.left, False)
         r_pos, r_neg = _nnf(f.right, True), _nnf(f.right, False)
         if positive:
             return Or((And((l_pos, r_pos)), And((l_neg, r_neg))))
         return Or((And((l_pos, r_neg)), And((l_neg, r_pos))))
-    if isinstance(f, Next):
-        return Next(_nnf(f.arg, True)) if positive else WeakNext(_nnf(f.arg, False))
-    if isinstance(f, WeakNext):
-        return WeakNext(_nnf(f.arg, True)) if positive else Next(_nnf(f.arg, False))
-    if isinstance(f, Until):
-        if positive:
-            return Until(_nnf(f.left, True), _nnf(f.right, True))
-        return Release(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Release):
-        if positive:
-            return Release(_nnf(f.left, True), _nnf(f.right, True))
-        return Until(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, WeakUntil):
-        if positive:
-            return WeakUntil(_nnf(f.left, True), _nnf(f.right, True))
+    if cls is WeakUntil and not positive:
         neg_l = _nnf(f.left, False)
         return And((Eventually(neg_l), Release(neg_l, _nnf(f.right, False))))
-    if isinstance(f, Eventually):
-        return Eventually(_nnf(f.arg, True)) if positive else Globally(_nnf(f.arg, False))
-    if isinstance(f, Globally):
-        return Globally(_nnf(f.arg, True)) if positive else Eventually(_nnf(f.arg, False))
-    raise TypeError(f"not a formula node: {f!r}")
+    if cls not in _SYNTAX:
+        raise TypeError(f"not a formula node: {f!r}")
+    if not positive:
+        cls = _DUAL[cls]
+    args = tuple(_nnf(x, positive) for x in f.children())
+    return cls(args) if isinstance(f, _Nary) else cls(*args)
 
 
 # --------------------------------------------------------------------------

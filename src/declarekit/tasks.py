@@ -278,7 +278,7 @@ def query_check(
     variables = query.variables()
     domains = []
     for v in variables:
-        domain = tuple(query.domains.get(v, log.alphabet))
+        domain = tuple(dict.fromkeys(query.domains.get(v, log.alphabet)))
         if not domain:
             raise ValueError(f"empty domain for variable {v}")
         domains.append(domain)

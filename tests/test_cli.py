@@ -210,6 +210,35 @@ def test_query_json_output(workdir):
     assert {"binding": {"arg_1": "b"}, "support": "2/3"} in doc["answers"]
 
 
+def test_query_answers_a_repeated_domain_value_once(workdir):
+    (workdir / "ab.lp").write_text("trace(0,0,a). trace(0,1,b).\n")
+    (workdir / "q.lp").write_text(
+        'constraint(0,"Response"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).\n'
+        "domain(var(y),b). domain(var(y),b).\n"
+    )
+    for args, line in (
+        (("--template", "Response", "--bind", "arg_0=a", "--domain", "arg_1=b,b"),
+         "?arg_1=b support=1/1\n"),
+        (("--query", "q.lp"), "?y=b support=1/1\n"),
+    ):
+        out = run_cli("query", "--log", "ab.lp", *args, "--support", "1", cwd=workdir)
+        assert out.returncode == 0, args
+        assert out.stdout == line, args
+
+
+def test_query_document_restricting_no_variable_exits_two(workdir):
+    (workdir / "q.lp").write_text(
+        'constraint(0,"Response"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).\n'
+        "domain(var(yy),b).\n"
+    )
+    out = run_cli("query", "--log", "log.lp", "--query", "q.lp", "--support", "1", cwd=workdir)
+    assert out.returncode == 2
+    assert out.stderr == (
+        "declarekit: q.lp: line 2: domain/2 restricts var(yy), which no term uses\n"
+    )
+    assert out.stdout == ""
+
+
 def test_slot_given_twice_exits_three(workdir):
     query = ("query", "--log", "log.lp", "--template", "Response", "--support", "1/3")
     generate = ("generate", "--template", "Response", "--n", "2", "--len", "3",
@@ -272,8 +301,11 @@ def test_compile_formula_dot(workdir):
 
 
 def test_compile_bad_formula_exits_two(workdir):
-    out = run_cli("compile", "--formula", "G(a ->", "--facts-json", "-", cwd=workdir)
-    assert out.returncode == 2
+    for formula, offset in (("G(a ->", 6), ('"*"', 0), ('F ""', 2)):
+        out = run_cli("compile", "--formula", formula, "--facts-json", "-", cwd=workdir)
+        assert out.returncode == 2, formula
+        assert out.stderr.endswith(f"(at offset {offset})\n"), out.stderr
+        assert out.stderr.count("\n") == 1 and out.stdout == "", formula
 
 
 def test_compile_over_state_budget_exits_three(workdir):

@@ -390,6 +390,20 @@ def test_parse_query_rejects_bind_for_undeclared_constraint():
     assert err.value.line == 3
 
 
+def test_parse_query_rejects_domain_of_unused_variable():
+    """A misspelt variable in domain/2 would otherwise leave the real one
+    ranging over the whole log alphabet."""
+    text = """
+    constraint(0,"Response"). bind(0,arg_0,a). var_bind(0,arg_1,var(y)).
+    domain(var(y),b).
+    domain(var(z),b). domain(var(w),c).
+    domain(var(z),c).
+    """
+    with pytest.raises(IngestError, match=r"domain/2 restricts var\(z\), which no term uses") as err:
+        parse_query(text)
+    assert err.value.line == 4
+
+
 # --------------------------------------------------------------------------
 # XES
 # --------------------------------------------------------------------------

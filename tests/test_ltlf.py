@@ -167,6 +167,98 @@ def test_trailing_garbage_rejected():
         parse_formula("a b")
 
 
+_BINARY_OPS = {"<->": Iff, "->": Implies, "|": Or, "&": And, "U": Until, "W": WeakUntil,
+               "R": Release}
+_UNARY_OPS = {"!": Not, "X": Next, "Xw": WeakNext, "F": Eventually, "G": Globally}
+
+# Row o1, column o2 (both in _BINARY_OPS order): how "a o1 b o2 c" groups.
+# L is (a o1 b) o2 c, R is a o1 (b o2 c), N is one n-ary node over a, b, c.
+_PAIR_GROUPING = {
+    "<->": "RRRRRRR",
+    "->": "LRRRRRR",
+    "|": "LLNRRRR",
+    "&": "LLLNRRR",
+    "U": "LLLLRRR",
+    "W": "LLLLRRR",
+    "R": "LLLLRRR",
+}
+
+
+def _node(op: str, *args):
+    cls = _BINARY_OPS[op]
+    return cls(args) if cls in (And, Or) else cls(*args)
+
+
+def test_every_pair_of_binary_operators_groups_as_pinned():
+    """Each pair's tree, and its printing with and without brackets."""
+    a, b, c = Atom(A), Atom(B), Atom(C)
+    for o1, row in _PAIR_GROUPING.items():
+        for o2, grouping in zip(_BINARY_OPS, row, strict=True):
+            text = f"a {o1} b {o2} c"
+            f = parse_formula(text)
+            if grouping == "N":
+                assert f == _node(o1, a, b, c), text
+            elif grouping == "L":
+                assert f == _node(o2, _node(o1, a, b), c), text
+            else:
+                assert f == _node(o1, a, _node(o2, b, c)), text
+            assert pretty(f) == text
+            # Brackets that agree with the grouping are dropped, others kept.
+            for bracketed, side in ((f"(a {o1} b) {o2} c", "L"), (f"a {o1} (b {o2} c)", "R")):
+                assert pretty(parse_formula(bracketed)) == (
+                    text if grouping == side else bracketed
+                ), bracketed
+
+
+def test_unary_operators_bind_tighter_than_every_binary_one():
+    a, b = Atom(A), Atom(B)
+    for u, cls in _UNARY_OPS.items():
+        gap = "" if u == "!" else " "
+        for o in _BINARY_OPS:
+            f = parse_formula(f"{u} a {o} b")
+            assert f == _node(o, cls(a), b)
+            assert pretty(f) == f"{u}{gap}a {o} b"
+            g = parse_formula(f"a {o} {u} b")
+            assert g == _node(o, a, cls(b))
+            assert pretty(g) == f"a {o} {u}{gap}b"
+            assert pretty(parse_formula(f"{u} (a {o} b)")) == f"{u}(a {o} b)"
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("(a & b", "expected rparen, found ''", 6),
+        ("a b", "unexpected trailing input 'b'", 2),
+        ("(a))", "unexpected trailing input ')'", 3),
+        ("true false", "unexpected trailing input 'false'", 5),
+        ("U", "operator 'U' found where an operand was expected", 0),
+        ("a U W b", "operator 'W' found where an operand was expected", 4),
+        ("a U", "unexpected token ''", 3),
+        ('"\\x"', "bad escape in quoted label", 1),
+        ('"open', "unexpected character '\"'", 0),
+        ("$", "unexpected character '$'", 0),
+        ("a <- b", "unexpected character '<'", 2),
+        ("", "unexpected token ''", 0),
+        ("   ", "unexpected token ''", 3),
+        ("a ->", "unexpected token ''", 4),
+        (")", "unexpected token ')'", 0),
+        ("()", "unexpected token ')'", 1),
+        ("F F", "unexpected token ''", 3),
+        ("!(a U)", "unexpected token ')'", 5),
+        ("a & & b", "unexpected token '&'", 4),
+        ("a <-> <-> b", "unexpected token '<->'", 6),
+        ('"*"', 'the label "*" is reserved and cannot name an activity', 0),
+        ('F ""', "activity label must be a non-empty string", 2),
+        ('a & F "*"', 'the label "*" is reserved and cannot name an activity', 6),
+    ],
+)
+def test_syntax_errors_are_pinned(text, message, offset):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
 _atoms = st.sampled_from([Atom(A), Atom(B), Atom(C)])
 
 
@@ -548,6 +640,15 @@ def test_nnf_pushes_negation_to_atoms():
 
     for text in ["!(a U b)", "!(a R b)", "!(a W b)", "!X a", "!Xw a", "!(a <-> b)"]:
         assert only_atomic_negs(nnf(parse_formula(text))), text
+
+
+@given(_any_formula)
+@settings(max_examples=300, deadline=None)
+def test_nnf_leaves_only_negated_atoms(f):
+    for g in (f, Not(f)):
+        for node in subformulas(nnf(g)):
+            assert not isinstance(node, (Implies, Iff)), node
+            assert not isinstance(node, Not) or isinstance(node.arg, Atom), node
 
 
 @given(formula_strategy, st.lists(st.sampled_from("abc"), max_size=6))

@@ -421,6 +421,14 @@ def test_query_respects_explicit_domains():
     assert {ans.binding[y].label for ans in answers} == {"b", "c"}
 
 
+def test_query_takes_each_domain_value_once():
+    log = _log("ab")
+    y = Variable("y")
+    query = Query(terms=(QueryTerm(TemplateKind.RESPONSE, A, y),), domains={y: (B, B)})
+    answers = query_check(query, log, 1)
+    assert [(ans.binding, ans.support) for ans in answers] == [({y: B}, 1)]
+
+
 def test_query_answers_sorted_by_support_then_labels():
     log = _log("ab", "ac", "aw")
     y = Variable("y")
