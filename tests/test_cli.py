@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via subprocess."""
 
+import gzip
 import json
 import os
 import re
@@ -367,6 +368,52 @@ def test_convert_from_fixture_xes(workdir):
     assert out.returncode == 0
     text = (workdir / "orders.lp").read_text()
     assert 'trace(0,0,"receive order").' in text
+
+
+def _xes_error_cases():
+    """(name, document bytes, message) per pinned XES fault. The messages
+    are the ElementTree reader's; every reader of the format keeps them."""
+    doc = declarekit.write_xes(declarekit.EventLog((
+        declarekit.Trace.from_labels(0, "ab"), declarekit.Trace.from_labels(1, "c"),
+    )))
+    return [
+        ("notxml.xes", b"trace(0,0,a).\n",
+         "malformed XES document: not well-formed (invalid token): line 1, column 5"),
+        ("cut.xes", doc[:-20].encode(),
+         "malformed XES document: unclosed token: line 16, column 4"),
+        ("root.xes", b"<notes></notes>", "expected a <log> root element, found <notes>"),
+        ("noname.xes",
+         doc.replace('"concept:name" value="b"', '"org:resource" value="b"').encode(),
+         "trace 0 event 1 has no concept:name"),
+        ("reserved.xes", doc.replace('value="b"', 'value="*"').encode(),
+         'trace 0 event 1: the label "*" is reserved and cannot name an activity'),
+        ("empty.xes", doc.replace('value="c"', 'value=""').encode(),
+         "trace 1 event 0: activity label must be a non-empty string"),
+        ("notgzip.xes.gz", b"trace(0,0,a).\n", "Not a gzipped file (b'tr')"),
+        ("cutgzip.xes.gz", gzip.compress(doc.encode())[:-12],
+         "Compressed file ended before the end-of-stream marker was reached"),
+    ]
+
+
+def test_xes_error_messages_are_pinned(workdir):
+    """Each fault has one exact message: from parse_xes on the document (a
+    .gz only as a file), with the path at its head from a file, and in the
+    one stderr line of a convert that exits 2."""
+    for name, data, message in _xes_error_cases():
+        path = workdir / name
+        path.write_bytes(data)
+        if not name.endswith(".gz"):
+            for source in (data, data.decode("utf-8", "replace")):
+                with pytest.raises(declarekit.IngestError) as err:
+                    declarekit.parse_xes(source)
+                assert str(err.value) == message, name
+        with pytest.raises(declarekit.IngestError) as err:
+            declarekit.parse_xes(path)
+        assert str(err.value) == f"{path}: {message}", name
+        out = run_cli("convert", "--in", name, "--out", "out.csv", cwd=workdir)
+        assert out.returncode == 2, name
+        assert out.stderr == f"declarekit: {name}: {message}\n", name
+        assert not (workdir / "out.csv").exists(), name
 
 
 def test_validate_reports_zero_disagreements(workdir):
