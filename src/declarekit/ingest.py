@@ -440,15 +440,95 @@ def parse_xes(source) -> EventLog:
     An os.PathLike is read as a file, decompressed when its name ends in
     .gz; an object with .read() is read; anything else, a str naming a
     file included, is the document itself. Only event concept:name
-    attributes are read; trace ids follow document order.
+    attributes are read; trace ids follow document order. A document laid
+    out as write_xes lays it out is read a trace at a time by regex; the
+    XML parser reads every other one, and every one that pass cannot vouch
+    for, so every error is the XML parser's.
     """
     if isinstance(source, os.PathLike):
         return _parse_file(source, parse_xes, _read_bytes)
-    from xml.etree import ElementTree  # imported here: only XES documents need it
-
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, str):
         data = data.encode("utf-8")
+    log = _parse_xes_written(data)
+    return _parse_xes_tree(data) if log is None else log
+
+
+# write_xes's layout: its head and tail, and one trace with its events.
+# The trace's own name is not read, so only digits are vouched for there.
+_XES_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n'
+)
+_XES_TAIL = "</log>\n"
+_XES_TRACE_RE = re.compile(
+    '  <trace>\n    <string key="concept:name" value="[0-9]+"/>\n'
+    '((?:    <event>\n      <string key="concept:name" value="[^"<>]*"/>\n    </event>\n)*)'
+    "  </trace>\n"
+)
+_XES_LABEL_RE = re.compile('value="([^"<>]*)"')
+# The escapes write_xes writes, and the characters XML 1.0 cannot carry or
+# an attribute value does not keep (raw whitespace reads as a space).
+_XES_ESCAPES = {
+    "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
+    "&#10;": "\n", "&#9;": "\t", "&#13;": "\r",
+}
+_XES_ESCAPE_RE = re.compile("&(?:amp|lt|gt|quot|#10|#9|#13);")
+_XES_UNSAFE_RE = re.compile(r"[\x00-\x1f\ufffe\uffff]")
+
+
+def _xes_activity(value: str) -> Activity | None:
+    """The activity a concept:name value written by write_xes names, or
+    None when the value holds anything else, or Activity refuses it."""
+    if _XES_UNSAFE_RE.search(value):
+        return None
+    if "&" in value:
+        if value.count("&") != len(_XES_ESCAPE_RE.findall(value)):
+            return None
+        value = _XES_ESCAPE_RE.sub(lambda m: _XES_ESCAPES[m.group()], value)
+    try:
+        return Activity(value)
+    except ValueError:
+        return None
+
+
+def _parse_xes_written(data: bytes) -> EventLog | None:
+    """The log of a document in write_xes's exact layout, read with one
+    regex match per trace and one findall for its labels; None for any
+    other document, for bytes that are not UTF-8, and for a label that
+    _xes_activity does not vouch for."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not (text.startswith(_XES_HEAD) and text.endswith(_XES_TAIL)):
+        return None
+    match, labels = _XES_TRACE_RE.match, _XES_LABEL_RE.findall
+    acts: dict[str, Activity | None] = {}  # value as written -> its activity
+    traces = []
+    at, end = len(_XES_HEAD), len(text) - len(_XES_TAIL)
+    while at < end:
+        m = match(text, at, end)
+        if m is None:
+            return None
+        at = m.end()
+        values = labels(m.group(1))
+        events = tuple(map(acts.get, values))
+        if None in events:
+            for value in values:
+                if value not in acts:
+                    acts[value] = _xes_activity(value)
+            events = tuple(map(acts.__getitem__, values))
+            if None in events:
+                return None
+        traces.append(Trace(len(traces), events))
+    return EventLog(traces)
+
+
+def _parse_xes_tree(data: bytes) -> EventLog:
+    """The log of any XES document, read through ElementTree."""
+    from xml.etree import ElementTree  # imported here: only XES documents need it
+
     try:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
@@ -869,11 +949,13 @@ def _read_text(path) -> str:
 
 def _read_bytes(path) -> bytes:
     """A file's bytes, decompressed when its name ends in .gz."""
-    import gzip  # imported here, as in _write_text: only XES paths need these
+    if not os.fspath(path).endswith(".gz"):
+        with open(path, "rb") as fh:
+            return fh.read()
+    import gzip  # imported here, as in _write_text: only .gz paths need these
     import zlib
 
-    opener = gzip.open if os.fspath(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
+    with gzip.open(path, "rb") as fh:
         try:
             return fh.read()
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
@@ -891,12 +973,13 @@ def _parse_file(path, parse, read=_read_text):
 
 
 def _write_text(path, text: str) -> None:
-    """Write text, compressed when the name ends in .gz."""
+    """Write text, compressed when the name ends in .gz. The gzip header
+    holds time 0, so equal text gives equal bytes."""
     if os.fspath(path).endswith(".gz"):
         import gzip
 
-        with gzip.open(path, "wt", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with gzip.GzipFile(path, "wb", mtime=0) as fh:
+            fh.write(text.encode("utf-8"))
     else:
         Path(path).write_text(text, encoding="utf-8", newline="")
 

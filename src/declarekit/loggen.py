@@ -11,6 +11,7 @@ over the accepted strings of the requested length.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 from .automata import Dfa, complement, minimize, product, template_dfa
 from .core import Activity, Constraint, EventLog, Record, Trace
@@ -72,7 +73,8 @@ def generator_alphabet(named: tuple[Activity, ...], alphabet_size: int) -> tuple
 class PathCountTable(Record):
     """counts[r][s]: accepted continuations of length r from state s."""
 
-    __slots__ = _fields = ("dfa", "alphabet_size", "counts")
+    __slots__ = ("dfa", "alphabet_size", "counts", "_rows")
+    _fields = ("dfa", "alphabet_size", "counts")
     dfa: Dfa
     alphabet_size: int
     counts: tuple[tuple[int, ...], ...]
@@ -102,6 +104,37 @@ class PathCountTable(Record):
     def total(self, length: int) -> int:
         return self.counts[length][self.dfa.initial]
 
+    def _draws(self) -> tuple[tuple[Activity, ...], list[list[tuple]]]:
+        """The wildcard's activities, and rows[r][s]: the draw from state s
+        with r symbols to go, as (count, bounds, picks). bounds holds the
+        running sums of weight * continuations over the transition classes
+        that have any; picks[i] is class i's (activity, or None for the
+        wildcard, target state, continuations from it, bounds before it).
+        Built on first use and kept, as the table never changes."""
+        try:
+            return self._rows
+        except AttributeError:
+            pass
+        named = self.dfa.named
+        others = tuple(a for a in generator_alphabet(named, self.alphabet_size) if a not in named)
+        columns = [(act, 1) for act in named] + [(None, len(others))]
+        rows: list[list[tuple]] = [[]]
+        for remaining in range(1, len(self.counts)):
+            prev = self.counts[remaining - 1]
+            row = []
+            for state, moves in enumerate(self.dfa.moves):
+                bounds, picks, low = [], [], 0
+                for (act, weight), dst in zip(columns, moves):
+                    block = weight * prev[dst]
+                    if block:
+                        picks.append((act, dst, prev[dst], low))
+                        low += block
+                        bounds.append(low)
+                row.append((self.counts[remaining][state], bounds, picks))
+            rows.append(row)
+        object.__setattr__(self, "_rows", (others, rows))
+        return self._rows
+
 
 _MASK64 = (1 << 64) - 1
 
@@ -123,37 +156,25 @@ def sample_trace(table: PathCountTable, length: int, seed: int) -> tuple[Activit
     resolved to a concrete unnamed activity by its rank, so every
     accepted string has probability 1 / total.
     """
-    generator = table.dfa
     if not 0 <= length < len(table.counts):
         raise GeneratorError(
             f"length {length} is outside the table's range 0..{len(table.counts) - 1}"
         )
     if table.total(length) <= 0:
         raise GeneratorError(f"no accepted traces of length {length}")
-    named = generator.named
-    others = tuple(a for a in generator_alphabet(named, table.alphabet_size) if a not in named)
-    weights = [1] * len(named) + [len(others)]
-    rng = random.Random(seed)
+    others, rows = table._draws()
+    randrange = random.Random(seed).randrange
 
-    state = generator.initial
+    state = table.dfa.initial
     events: list[Activity] = []
     for remaining in range(length, 0, -1):
-        x = rng.randrange(table.count(state, remaining))
-        for col, weight in enumerate(weights):
-            if weight == 0:
-                continue
-            dst = generator.moves[state][col]
-            block = weight * table.count(dst, remaining - 1)
-            if x < block:
-                if col < len(named):
-                    events.append(named[col])
-                else:
-                    events.append(others[x // table.count(dst, remaining - 1)])
-                state = dst
-                break
-            x -= block
-        else:
+        count, bounds, picks = rows[remaining][state]
+        x = randrange(count)
+        i = bisect_right(bounds, x)
+        if i == len(picks):
             raise AssertionError("path count bookkeeping is inconsistent")
+        act, state, unit, low = picks[i]
+        events.append(others[(x - low) // unit] if act is None else act)
     return tuple(events)
 
 

@@ -433,6 +433,83 @@ def test_xes_gzip_round_trip(tmp_path):
     assert parse_xes(packed) == log
 
 
+def test_xes_gzip_output_is_reproducible(tmp_path):
+    """The gzip header holds time 0, so two saves give equal bytes."""
+    log = _log("abc", "ba")
+    first, second = tmp_path / "one" / "t.xes.gz", tmp_path / "two" / "t.xes.gz"
+    for path in (first, second):
+        path.parent.mkdir()
+        save_log(log, path)
+        time.sleep(1.1 if path == first else 0)  # the header counts whole seconds
+    assert first.read_bytes()[4:8] == bytes(4)
+    assert first.read_bytes() == second.read_bytes()
+    assert load_log(second) == log
+
+
+def _xes_outcomes(data: bytes):
+    """What parse_xes makes of a document, and what the ElementTree reader
+    makes of it: a log, or the type and message of the error."""
+    def outcome(read):
+        try:
+            return read(data)
+        except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+            return type(exc).__name__, str(exc)
+
+    return outcome(parse_xes), outcome(ingest._parse_xes_tree)
+
+
+# Characters XML 1.0 cannot carry; write_xes writes them as they are.
+_NOT_XML = {chr(c) for c in range(0x20) if chr(c) not in "\t\n\r"} | {"\ufffe", "\uffff"}
+_XES_LABELS = st.lists(
+    st.one_of(
+        st.sampled_from(['"', "&", "<", ">", "\n", "\t", "\r", "\x01", "é", "\u2028", ";",
+                         "#", "&amp;", "&lt;", "&#10;", "\ufffe", "\uffff", " "]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    min_size=1,
+    max_size=6,
+).map("".join).filter(lambda label: label != "*")
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces=st.lists(st.lists(_XES_LABELS, max_size=4), max_size=4))
+def test_xes_reader_of_written_layout_agrees_with_the_xml_parser(traces):
+    """write_xes's own documents load as through ElementTree, and in one
+    pass whenever XML 1.0 can carry every label."""
+    log = EventLog(tuple(Trace.from_labels(i, labels) for i, labels in enumerate(traces)))
+    data = write_xes(log).encode("utf-8")
+    fast, tree = _xes_outcomes(data)
+    assert fast == tree
+    carried = not any(_NOT_XML & set(label) for labels in traces for label in labels)
+    assert (ingest._parse_xes_written(data) is not None) == carried
+    if carried:
+        assert fast == log
+
+
+def test_xes_reader_agrees_with_the_xml_parser_on_every_byte_edit():
+    """Every single-byte deletion and substitution of a small document,
+    and the layouts that only the XML parser reads, load alike or fail
+    with the same message through parse_xes as through ElementTree."""
+    doc = write_xes(EventLog((Trace.from_labels(0, ["&<"]), Trace(1, ())))).encode("utf-8")
+    assert ingest._parse_xes_written(doc) is not None
+    edits = [
+        b"\xef\xbb\xbf" + doc,
+        doc.replace(b"\n", b"\r\n"),
+        doc.replace(b"UTF-8", b"ISO-8859-1").replace(b"&amp;", b"\xe9&amp;"),
+        doc.replace(b"&lt;", b"&#60;"),
+        doc.replace(b'"/>', b'" />'),
+        doc + b"\n",
+    ]
+    edits += [doc[:i] + doc[i + 1:] for i in range(len(doc))]
+    edits += [
+        doc[:i] + bytes((b,)) + doc[i + 1:]
+        for i in range(len(doc)) for b in range(256) if b != doc[i]
+    ]
+    for data in edits:
+        fast, tree = _xes_outcomes(data)
+        assert fast == tree, data
+
+
 def test_xes_event_without_name_rejected():
     text = """<log xmlns="http://www.xes-standard.org/">
       <trace><event><string key="org:resource" value="r"/></event></trace>
