@@ -260,6 +260,14 @@ def _unquote(tok: str, offset: int) -> str:
     return _ESCAPE_RE.sub(r"\1", body)
 
 
+# How deep brackets, unary operators and the right operands of right-
+# associative operators may nest. Under the interpreter's default recursion
+# limit the parser fails at about 150 nested brackets (seven frames each),
+# and nnf and compile_formula at about 400 nested operators; this bound
+# stays below both.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Precedence climbing over _BINARY_LEVELS, with unary operators and
     operands below the tightest level. An operator is found by its token's
@@ -268,11 +276,18 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # nesting levels open at the cursor
 
     def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def enter(self, offset: int) -> None:
+        """Open one nesting level at the token at `offset`."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nests deeper than {_MAX_NESTING} levels", offset)
 
     def parse(self) -> Formula:
         f = self.binary(0)
@@ -287,21 +302,30 @@ class _Parser:
         ops, nary = _BINARY_LEVELS[level]
         parts = [self.binary(level + 1)]
         while self.tokens[self.i][1] in ops:
-            cls = ops[self.advance()[1]]
+            _, op, offset = self.advance()
+            cls = ops[op]
             if not nary:
-                return cls(parts[0], self.binary(level))
+                self.enter(offset)
+                right = self.binary(level)
+                self.depth -= 1
+                return cls(parts[0], right)
             parts.append(self.binary(level + 1))
         return parts[0] if len(parts) == 1 else cls(tuple(parts))
 
     def unary(self) -> Formula:
         kind, text, offset = self.advance()
         if text in _UNARY:
-            return _UNARY[text](self.unary())
+            self.enter(offset)
+            f = _UNARY[text](self.unary())
+            self.depth -= 1
+            return f
         if kind == "lparen":
+            self.enter(offset)
             f = self.binary(0)
             kind, text, offset = self.advance()
             if kind != "rparen":
                 raise FormulaSyntaxError(f"expected rparen, found {text!r}", offset)
+            self.depth -= 1
             return f
         if kind == "quoted":
             label = _unquote(text, offset)

@@ -309,6 +309,23 @@ def test_compile_bad_formula_exits_two(workdir):
         assert out.stderr.count("\n") == 1 and out.stdout == "", formula
 
 
+def test_compile_deep_formula_exits_two_past_the_nesting_bound(workdir):
+    from test_ltlf import DEEP_SHAPES
+
+    from declarekit.ltlf import _MAX_NESTING
+
+    for name, (text, offset) in DEEP_SHAPES.items():
+        out = run_cli("compile", "--formula", text(_MAX_NESTING), "--facts-json", "-", cwd=workdir)
+        assert out.returncode == 0, (name, out.stderr)
+        out = run_cli("compile", "--formula", text(_MAX_NESTING + 1), "--dot", "-", cwd=workdir)
+        assert out.returncode == 2, name
+        assert out.stderr == (
+            f"declarekit: formula nests deeper than {_MAX_NESTING} levels"
+            f" (at offset {offset(_MAX_NESTING + 1)})\n"
+        ), name
+        assert out.stdout == "", name
+
+
 def test_compile_over_state_budget_exits_three(workdir):
     formula = "F(a & X X X X X X X X X X X X (Xw false))"
     out = run_cli("compile", "--formula", formula, "--dot", "-", cwd=workdir)
@@ -549,10 +566,17 @@ def test_check_imports_only_what_it_runs(workdir):
          ("declarekit.tasks", "declarekit.direct", "declarekit.automata", "declarekit.ltlf")),
         (["compile", "--template", "Response", "--facts-json", "dfa.json"],
          ("declarekit.ingest", "declarekit.tasks", "declarekit.direct")),
+        (["convert", "--in", "log.xes", "--out", "log.csv"],
+         ("xml.etree.ElementTree", "gzip", "declarekit.tasks")),
     ],
-    ids=["convert", "compile"],
+    ids=["convert", "compile", "convert_xes"],
 )
 def test_commands_import_only_what_they_run(workdir, argv, absent):
+    """A command loads only the modules it runs; write_xes's own layout
+    is read without the XML parser, and a plain .xes without gzip."""
+    from declarekit import load_log, save_log
+
+    save_log(load_log(workdir / "log.lp"), workdir / "log.xes")
     out = run_python("-c", COMMAND_SCOPE.format(argv=argv, absent=absent), cwd=workdir)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "ok"

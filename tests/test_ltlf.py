@@ -259,6 +259,35 @@ def test_syntax_errors_are_pinned(text, message, offset):
     assert err.value.offset == offset
 
 
+# Formulas n levels deep, each with the offset of the token that opens
+# level n: the shapes that once ended in RecursionError.
+DEEP_SHAPES = {
+    "brackets": (lambda n: "(" * n + "a" + ")" * n, lambda n: n - 1),
+    "negations": (lambda n: "!" * n + "a", lambda n: n - 1),
+    "implications": (lambda n: "a -> " * n + "a", lambda n: 5 * n - 3),
+    "nexts": (lambda n: "X " * n + "a", lambda n: 2 * n - 2),
+    "untils": (lambda n: "a U " * n + "a", lambda n: 4 * n - 2),
+    "mixed": (lambda n: "(!" * (n // 2) + "!" * (n % 2) + "a" + ")" * (n // 2), lambda n: n - 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_nesting_is_bounded_below_every_recursion_limit(shape):
+    """At the bound a formula parses, prints, normalizes and compiles; one
+    level past it is a syntax error at the token that opens that level."""
+    from declarekit import compile_formula
+
+    text, offset = DEEP_SHAPES[shape]
+    bound = ltlf._MAX_NESTING
+    f = parse_formula(text(bound))
+    assert parse_formula(pretty(f)) == f
+    assert compile_formula(nnf(f)).n_states == compile_formula(f).n_states
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text(bound + 1))
+    assert err.value.offset == offset(bound + 1)
+    assert str(err.value) == f"formula nests deeper than {bound} levels (at offset {offset(bound + 1)})"
+
+
 _atoms = st.sampled_from([Atom(A), Atom(B), Atom(C)])
 
 
