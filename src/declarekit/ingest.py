@@ -456,36 +456,39 @@ def parse_xes(source) -> EventLog:
 
 # write_xes's layout: its head and tail, and one trace with its events.
 # The trace's own name is not read, so only digits are vouched for there.
+# The patterns are compiled on first use, from re's cache after that: every
+# command imports this module, and most read no XES.
 _XES_HEAD = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n'
 )
 _XES_TAIL = "</log>\n"
-_XES_TRACE_RE = re.compile(
+_XES_TRACE = (
     '  <trace>\n    <string key="concept:name" value="[0-9]+"/>\n'
     '((?:    <event>\n      <string key="concept:name" value="[^"<>]*"/>\n    </event>\n)*)'
     "  </trace>\n"
 )
-_XES_LABEL_RE = re.compile('value="([^"<>]*)"')
+_XES_LABEL = 'value="([^"<>]*)"'
 # The escapes write_xes writes, and the characters XML 1.0 cannot carry or
 # an attribute value does not keep (raw whitespace reads as a space).
 _XES_ESCAPES = {
     "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
     "&#10;": "\n", "&#9;": "\t", "&#13;": "\r",
 }
-_XES_ESCAPE_RE = re.compile("&(?:amp|lt|gt|quot|#10|#9|#13);")
-_XES_UNSAFE_RE = re.compile(r"[\x00-\x1f\ufffe\uffff]")
+_XES_ESCAPE = "&(?:amp|lt|gt|quot|#10|#9|#13);"
+_XES_UNSAFE = r"[\x00-\x1f\ufffe\uffff]"
 
 
 def _xes_activity(value: str) -> Activity | None:
     """The activity a concept:name value written by write_xes names, or
     None when the value holds anything else, or Activity refuses it."""
-    if _XES_UNSAFE_RE.search(value):
+    if re.search(_XES_UNSAFE, value):
         return None
     if "&" in value:
-        if value.count("&") != len(_XES_ESCAPE_RE.findall(value)):
+        escape = re.compile(_XES_ESCAPE)
+        if value.count("&") != len(escape.findall(value)):
             return None
-        value = _XES_ESCAPE_RE.sub(lambda m: _XES_ESCAPES[m.group()], value)
+        value = escape.sub(lambda m: _XES_ESCAPES[m.group()], value)
     try:
         return Activity(value)
     except ValueError:
@@ -503,8 +506,8 @@ def _parse_xes_written(data: bytes) -> EventLog | None:
         return None
     if not (text.startswith(_XES_HEAD) and text.endswith(_XES_TAIL)):
         return None
-    match, labels = _XES_TRACE_RE.match, _XES_LABEL_RE.findall
-    acts: dict[str, Activity | None] = {}  # value as written -> its activity
+    match, labels = re.compile(_XES_TRACE).match, re.compile(_XES_LABEL).findall
+    acts: dict[str, Activity] = {}  # value as written -> its activity
     traces = []
     at, end = len(_XES_HEAD), len(text) - len(_XES_TAIL)
     while at < end:
@@ -517,10 +520,11 @@ def _parse_xes_written(data: bytes) -> EventLog | None:
         if None in events:
             for value in values:
                 if value not in acts:
-                    acts[value] = _xes_activity(value)
+                    act = _xes_activity(value)
+                    if act is None:
+                        return None
+                    acts[value] = act
             events = tuple(map(acts.__getitem__, values))
-            if None in events:
-                return None
         traces.append(Trace(len(traces), events))
     return EventLog(traces)
 

@@ -73,7 +73,7 @@ def generator_alphabet(named: tuple[Activity, ...], alphabet_size: int) -> tuple
 class PathCountTable(Record):
     """counts[r][s]: accepted continuations of length r from state s."""
 
-    __slots__ = ("dfa", "alphabet_size", "counts", "_rows")
+    __slots__ = ("dfa", "alphabet_size", "counts", "_draws_memo")
     _fields = ("dfa", "alphabet_size", "counts")
     dfa: Dfa
     alphabet_size: int
@@ -112,7 +112,7 @@ class PathCountTable(Record):
         wildcard, target state, continuations from it, bounds before it).
         Built on first use and kept, as the table never changes."""
         try:
-            return self._rows
+            return self._draws_memo
         except AttributeError:
             pass
         named = self.dfa.named
@@ -132,8 +132,8 @@ class PathCountTable(Record):
                         bounds.append(low)
                 row.append((self.counts[remaining][state], bounds, picks))
             rows.append(row)
-        object.__setattr__(self, "_rows", (others, rows))
-        return self._rows
+        object.__setattr__(self, "_draws_memo", (others, rows))
+        return self._draws_memo
 
 
 _MASK64 = (1 << 64) - 1
