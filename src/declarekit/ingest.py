@@ -469,26 +469,17 @@ _XES_TRACE = (
     "  </trace>\n"
 )
 _XES_LABEL = 'value="([^"<>]*)"'
-# The escapes write_xes writes, and the characters XML 1.0 cannot carry or
-# an attribute value does not keep (raw whitespace reads as a space).
-_XES_ESCAPES = {
-    "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
-    "&#10;": "\n", "&#9;": "\t", "&#13;": "\r",
-}
-_XES_ESCAPE = "&(?:amp|lt|gt|quot|#10|#9|#13);"
-_XES_UNSAFE = r"[\x00-\x1f\ufffe\uffff]"
+# An escape, which the XML parser decodes, and the characters XML 1.0
+# cannot carry or an attribute value does not keep (raw whitespace reads
+# as a space).
+_XES_UNREAD = r"[&\x00-\x1f\ufffe\uffff]"
 
 
 def _xes_activity(value: str) -> Activity | None:
-    """The activity a concept:name value written by write_xes names, or
-    None when the value holds anything else, or Activity refuses it."""
-    if re.search(_XES_UNSAFE, value):
+    """The activity a concept:name value names, or None when the value
+    holds an escape or a character in _XES_UNREAD, or Activity refuses it."""
+    if re.search(_XES_UNREAD, value):
         return None
-    if "&" in value:
-        escape = re.compile(_XES_ESCAPE)
-        if value.count("&") != len(escape.findall(value)):
-            return None
-        value = escape.sub(lambda m: _XES_ESCAPES[m.group()], value)
     try:
         return Activity(value)
     except ValueError:

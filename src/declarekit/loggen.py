@@ -11,7 +11,6 @@ over the accepted strings of the requested length.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 
 from .automata import Dfa, complement, minimize, product, template_dfa
 from .core import Activity, Constraint, EventLog, Record, Trace
@@ -73,7 +72,7 @@ def generator_alphabet(named: tuple[Activity, ...], alphabet_size: int) -> tuple
 class PathCountTable(Record):
     """counts[r][s]: accepted continuations of length r from state s."""
 
-    __slots__ = ("dfa", "alphabet_size", "counts", "_draws_memo")
+    __slots__ = ("dfa", "alphabet_size", "counts", "_columns_memo")
     _fields = ("dfa", "alphabet_size", "counts")
     dfa: Dfa
     alphabet_size: int
@@ -104,36 +103,19 @@ class PathCountTable(Record):
     def total(self, length: int) -> int:
         return self.counts[length][self.dfa.initial]
 
-    def _draws(self) -> tuple[tuple[Activity, ...], list[list[tuple]]]:
-        """The wildcard's activities, and rows[r][s]: the draw from state s
-        with r symbols to go, as (count, bounds, picks). bounds holds the
-        running sums of weight * continuations over the transition classes
-        that have any; picks[i] is class i's (activity, or None for the
-        wildcard, target state, continuations from it, bounds before it).
-        Built on first use and kept, as the table never changes."""
+    def _columns(self) -> tuple[tuple[Activity, ...], tuple[tuple[Activity | None, int], ...]]:
+        """The wildcard's activities, and each transition class's
+        (activity, or None for the wildcard; weight). Built on first use
+        and kept, as the table never changes."""
         try:
-            return self._draws_memo
+            return self._columns_memo
         except AttributeError:
             pass
         named = self.dfa.named
         others = tuple(a for a in generator_alphabet(named, self.alphabet_size) if a not in named)
-        columns = [(act, 1) for act in named] + [(None, len(others))]
-        rows: list[list[tuple]] = [[]]
-        for remaining in range(1, len(self.counts)):
-            prev = self.counts[remaining - 1]
-            row = []
-            for state, moves in enumerate(self.dfa.moves):
-                bounds, picks, low = [], [], 0
-                for (act, weight), dst in zip(columns, moves):
-                    block = weight * prev[dst]
-                    if block:
-                        picks.append((act, dst, prev[dst], low))
-                        low += block
-                        bounds.append(low)
-                row.append((self.counts[remaining][state], bounds, picks))
-            rows.append(row)
-        object.__setattr__(self, "_draws_memo", (others, rows))
-        return self._draws_memo
+        columns = (*((act, 1) for act in named), (None, len(others)))
+        object.__setattr__(self, "_columns_memo", (others, columns))
+        return self._columns_memo
 
 
 _MASK64 = (1 << 64) - 1
@@ -162,19 +144,24 @@ def sample_trace(table: PathCountTable, length: int, seed: int) -> tuple[Activit
         )
     if table.total(length) <= 0:
         raise GeneratorError(f"no accepted traces of length {length}")
-    others, rows = table._draws()
+    others, columns = table._columns()
     randrange = random.Random(seed).randrange
+    moves, counts = table.dfa.moves, table.counts
 
     state = table.dfa.initial
     events: list[Activity] = []
     for remaining in range(length, 0, -1):
-        count, bounds, picks = rows[remaining][state]
-        x = randrange(count)
-        i = bisect_right(bounds, x)
-        if i == len(picks):
+        x = randrange(counts[remaining][state])
+        below = counts[remaining - 1]
+        for (act, weight), dst in zip(columns, moves[state]):
+            block = weight * below[dst]
+            if x < block:
+                events.append(others[x // below[dst]] if act is None else act)
+                state = dst
+                break
+            x -= block
+        else:
             raise AssertionError("path count bookkeeping is inconsistent")
-        act, state, unit, low = picks[i]
-        events.append(others[(x - low) // unit] if act is None else act)
     return tuple(events)
 
 

@@ -260,18 +260,22 @@ def _unquote(tok: str, offset: int) -> str:
     return _ESCAPE_RE.sub(r"\1", body)
 
 
-# How deep brackets, unary operators and the right operands of right-
-# associative operators may nest. Under the interpreter's default recursion
-# limit the parser fails at about 150 nested brackets (seven frames each),
-# and nnf and compile_formula at about 400 nested operators; this bound
-# stays below both.
+# How deep a formula may nest, counted two ways: the brackets, unary
+# operators and right operands of right-associative operators open at the
+# parser's cursor, and the operators on any path from the root to a leaf
+# of the tree it builds. Under the interpreter's default recursion limit
+# the parser fails at about 150 nested brackets (seven frames each), and
+# nnf and compile_formula at about 400 nested operators; this bound stays
+# below both.
 _MAX_NESTING = 100
 
 
 class _Parser:
     """Precedence climbing over _BINARY_LEVELS, with unary operators and
     operands below the tightest level. An operator is found by its token's
-    text: no other token spells one, as a quoted label keeps its quotes."""
+    text: no other token spells one, as a quoted label keeps its quotes.
+    Each method returns a formula with its height, the operators on its
+    longest path to a leaf."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -287,38 +291,50 @@ class _Parser:
         """Open one nesting level at the token at `offset`."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            raise FormulaSyntaxError(f"formula nests deeper than {_MAX_NESTING} levels", offset)
+            raise _too_deep(offset)
+
+    @staticmethod
+    def grow(height: int, offset: int) -> int:
+        """The height of the node that the operator at `offset` makes over
+        operands at most `height` tall."""
+        if height >= _MAX_NESTING:
+            raise _too_deep(offset)
+        return height + 1
 
     def parse(self) -> Formula:
-        f = self.binary(0)
+        f, _ = self.binary(0)
         kind, text, offset = self.tokens[self.i]
         if kind != "end":
             raise FormulaSyntaxError(f"unexpected trailing input {text!r}", offset)
         return f
 
-    def binary(self, level: int) -> Formula:
+    def binary(self, level: int) -> tuple[Formula, int]:
         if level == _UNARY_LEVEL:
             return self.unary()
         ops, nary = _BINARY_LEVELS[level]
-        parts = [self.binary(level + 1)]
+        f, height = self.binary(level + 1)
+        parts, node_height = [f], height
         while self.tokens[self.i][1] in ops:
             _, op, offset = self.advance()
             cls = ops[op]
             if not nary:
                 self.enter(offset)
-                right = self.binary(level)
+                right, right_height = self.binary(level)
                 self.depth -= 1
-                return cls(parts[0], right)
-            parts.append(self.binary(level + 1))
-        return parts[0] if len(parts) == 1 else cls(tuple(parts))
+                return cls(f, right), self.grow(max(height, right_height), offset)
+            part, part_height = self.binary(level + 1)
+            parts.append(part)
+            height = max(height, part_height)
+            node_height = self.grow(height, offset)
+        return (f, height) if len(parts) == 1 else (cls(tuple(parts)), node_height)
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, text, offset = self.advance()
         if text in _UNARY:
             self.enter(offset)
-            f = _UNARY[text](self.unary())
+            arg, height = self.unary()
             self.depth -= 1
-            return f
+            return _UNARY[text](arg), self.grow(height, offset)
         if kind == "lparen":
             self.enter(offset)
             f = self.binary(0)
@@ -330,18 +346,22 @@ class _Parser:
         if kind == "quoted":
             label = _unquote(text, offset)
             try:
-                return Atom(Activity(label))
+                return Atom(Activity(label)), 0
             except ValueError as exc:  # an empty or reserved label
                 raise FormulaSyntaxError(str(exc), offset) from None
         if kind == "ident":
             if text in _CONSTANTS:
-                return _CONSTANTS[text]
+                return _CONSTANTS[text], 0
             if text in _RESERVED:
                 raise FormulaSyntaxError(
                     f"operator {text!r} found where an operand was expected", offset
                 )
-            return Atom(Activity(text))
+            return Atom(Activity(text)), 0
         raise FormulaSyntaxError(f"unexpected token {text!r}", offset)
+
+
+def _too_deep(offset: int) -> FormulaSyntaxError:
+    return FormulaSyntaxError(f"formula nests deeper than {_MAX_NESTING} levels", offset)
 
 
 def parse_formula(text: str) -> Formula:

@@ -259,8 +259,26 @@ def test_syntax_errors_are_pinned(text, message, offset):
     assert err.value.offset == offset
 
 
+def _tall(ops: tuple[str, ...]):
+    """The shape whose operators, but one in each bracket, sit on left
+    operands, where the parser's cursor opens no level: with U, &, | and
+    -> it is (... U a & a | a -> a) U a & ..., and the token that opens
+    level n is its last operator."""
+
+    def text(n: int) -> str:
+        out = "a"
+        for i in range(n):
+            if i and i % len(ops) == 0:
+                out = f"({out})"
+            out += f" {ops[i % len(ops)]} a"
+        return out
+
+    return text, lambda n: text(n).rindex(" ", 0, -2) + 1
+
+
 # Formulas n levels deep, each with the offset of the token that opens
-# level n: the shapes that once ended in RecursionError.
+# level n: the shapes that once ended in RecursionError, and the ones a
+# tree n levels tall parses from with fewer levels open at once.
 DEEP_SHAPES = {
     "brackets": (lambda n: "(" * n + "a" + ")" * n, lambda n: n - 1),
     "negations": (lambda n: "!" * n + "a", lambda n: n - 1),
@@ -268,6 +286,9 @@ DEEP_SHAPES = {
     "nexts": (lambda n: "X " * n + "a", lambda n: 2 * n - 2),
     "untils": (lambda n: "a U " * n + "a", lambda n: 4 * n - 2),
     "mixed": (lambda n: "(!" * (n // 2) + "!" * (n % 2) + "a" + ")" * (n // 2), lambda n: n - 1),
+    "left untils": _tall(("U", "&", "|", "->")),
+    # -> puts a negated W on its left, which nnf expands.
+    "left weak untils": _tall(("W", "&", "|", "->")),
 }
 
 
@@ -282,6 +303,7 @@ def test_nesting_is_bounded_below_every_recursion_limit(shape):
     f = parse_formula(text(bound))
     assert parse_formula(pretty(f)) == f
     assert compile_formula(nnf(f)).n_states == compile_formula(f).n_states
+    assert compile_formula(nnf(Not(f))).n_states == compile_formula(Not(f)).n_states
     with pytest.raises(FormulaSyntaxError) as err:
         parse_formula(text(bound + 1))
     assert err.value.offset == offset(bound + 1)
