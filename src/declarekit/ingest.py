@@ -441,9 +441,10 @@ def parse_xes(source) -> EventLog:
     .gz; an object with .read() is read; anything else, a str naming a
     file included, is the document itself. Only event concept:name
     attributes are read; trace ids follow document order. A document laid
-    out as write_xes lays it out is read a trace at a time by regex; the
-    XML parser reads every other one, and every one that pass cannot vouch
-    for, so every error is the XML parser's.
+    out as write_xes lays it out, with no escape in its labels, is read a
+    trace at a time by regex; the XML parser reads every other one, and
+    every one that pass cannot vouch for, so every error is the XML
+    parser's.
     """
     if isinstance(source, os.PathLike):
         return _parse_file(source, parse_xes, _read_bytes)
@@ -469,9 +470,9 @@ _XES_TRACE = (
     "  </trace>\n"
 )
 _XES_LABEL = 'value="([^"<>]*)"'
-# An escape, which the XML parser decodes, and the characters XML 1.0
-# cannot carry or an attribute value does not keep (raw whitespace reads
-# as a space).
+# What a label hands to the XML parser: an escape, which that parser
+# decodes, and the characters XML 1.0 cannot carry or an attribute value
+# does not keep (raw whitespace reads as a space).
 _XES_UNREAD = r"[&\x00-\x1f\ufffe\uffff]"
 
 

@@ -313,7 +313,7 @@ class _Parser:
             return self.unary()
         ops, nary = _BINARY_LEVELS[level]
         f, height = self.binary(level + 1)
-        parts, node_height = [f], height
+        parts = [f]
         while self.tokens[self.i][1] in ops:
             _, op, offset = self.advance()
             cls = ops[op]
@@ -325,8 +325,8 @@ class _Parser:
             part, part_height = self.binary(level + 1)
             parts.append(part)
             height = max(height, part_height)
-            node_height = self.grow(height, offset)
-        return (f, height) if len(parts) == 1 else (cls(tuple(parts)), node_height)
+            self.grow(height, offset)
+        return (f, height) if len(parts) == 1 else (cls(tuple(parts)), height + 1)
 
     def unary(self) -> tuple[Formula, int]:
         kind, text, offset = self.advance()
