@@ -438,7 +438,30 @@ def to_dot(
 # --------------------------------------------------------------------------
 # Template automata
 
+@lru_cache(maxsize=None)  # at most two per kind
+def _kind_dfa(kind, same: bool) -> Dfa:
+    """Minimal DFA of a template from arg_0 to arg_1, or from arg_0 to
+    itself when `same`: its columns are arg_0, then arg_1, then the
+    wildcard."""
+    activation = Activity("arg_0")
+    target = activation if same else Activity("arg_1")
+    return minimize(compile_formula(template_formula(kind, activation, target)))
+
+
 @lru_cache(maxsize=1024)
 def template_dfa(kind, activation: Activity, target: Activity) -> Dfa:
-    """Minimal DFA of one template instance (cached)."""
-    return minimize(compile_formula(template_formula(kind, activation, target)))
+    """Minimal DFA of one template instance (cached).
+
+    Each kind compiles once, over placeholders; an instance takes that
+    automaton's columns in the order of its own activities, and
+    `minimize` numbers the states as compiling the instance would.
+    """
+    shared = _kind_dfa(kind, activation is target)
+    if activation is target:
+        named, columns = (activation,), (0, 1)
+    elif activation < target:
+        named, columns = (activation, target), (0, 1, 2)
+    else:
+        named, columns = (target, activation), (1, 0, 2)
+    moves = tuple(tuple([row[c] for c in columns]) for row in shared.moves)
+    return minimize(Dfa(named, moves, shared.initial, shared.accepting))

@@ -146,7 +146,8 @@ class CodedLog(Record):
     Activity a is code `codes[a]`, 0 up to len(codes) - 1, and every other
     activity is code len(codes). `events` holds, trace after trace, the
     codes of a trace's events followed by len(codes) + 1, which ends the
-    trace; `lengths[i]` is the number of events of trace i. `text` and
+    trace: as bytes when that end code fits in a byte, else as a list of
+    ints. `lengths[i]` is the number of events of trace i. `text` and
     `strings` spell the codes as characters, built on first use and kept.
     """
 
@@ -154,12 +155,14 @@ class CodedLog(Record):
     __slots__ = ("codes", "events", "lengths", "__dict__")
     _fields = ("codes", "events", "lengths")
     codes: dict[Activity, int]
-    events: list[int]
+    events: bytes | list[int]
     lengths: list[int]
 
     @cached_property
     def text(self) -> str:
         """`events` as a string of one character, chr(code), per code."""
+        if isinstance(self.events, bytes):
+            return self.events.decode("latin-1")  # chr(byte) for every byte
         return "".join(map(chr, self.events))
 
     @cached_property
@@ -168,19 +171,43 @@ class CodedLog(Record):
         return self.text.split(chr(len(self.codes) + 1))[:-1]
 
 
+def code_buffer(codes: list[int], end: int) -> bytes | list[int]:
+    """Codes no greater than `end` as `CodedLog.events` holds them."""
+    return bytes(codes) if end < 256 else codes
+
+
+def remap(events: bytes | list[int], table: Sequence[int]) -> bytes | list[int]:
+    """`events` with each code c replaced by table[c]: bytes when every
+    entry of the table fits in a byte, as `CodedLog.events` holds codes,
+    by one `bytes.translate` when `events` are bytes too."""
+    if max(table, default=0) > 255:
+        return list(map(table.__getitem__, events))
+    if isinstance(events, bytes):
+        return events.translate(bytes(table).ljust(256, b"\0"))
+    return bytes(map(table.__getitem__, events))
+
+
 _END = (None,)  # stands for the code that ends a trace
 
 
-def code_events(traces: Sequence[Trace], activities: Iterable[Activity]) -> CodedLog:
-    """Code the events of `traces`, with `activities` in order as codes
-    0, 1, ... and every other activity as one more code."""
+def code_events(log: EventLog | Sequence[Trace], activities: Iterable[Activity]) -> CodedLog:
+    """Code the events of a log or of a sequence of traces, with
+    `activities` in order as codes 0, 1, ... and every other activity as
+    one more code.
+
+    An `EventLog` is recoded from its own coded form: one table maps each
+    of its codes to one of these (`remap`).
+    """
     codes = {a: i for i, a in enumerate(dict.fromkeys(activities))}
-    lookup = {**codes, None: len(codes) + 1}
-    stream = itertools.chain.from_iterable(
-        part for trace in traces for part in (trace.events, _END)
-    )
-    events = list(map(lookup.get, stream, itertools.repeat(len(codes))))
-    return CodedLog(codes, events, [len(trace.events) for trace in traces])
+    other = len(codes)
+    if isinstance(log, EventLog):
+        own = log.coded
+        table = [codes.get(a, other) for a in own.codes] + [other, other + 1]
+        return CodedLog(codes, remap(own.events, table), own.lengths)
+    lookup = {**codes, None: other + 1}
+    stream = itertools.chain.from_iterable(part for trace in log for part in (trace.events, _END))
+    events = list(map(lookup.get, stream, itertools.repeat(other)))
+    return CodedLog(codes, code_buffer(events, other + 1), [len(trace.events) for trace in log])
 
 
 class EventLog:
@@ -188,9 +215,14 @@ class EventLog:
 
     Empty traces are admitted; the log alphabet is the set of activities
     occurring in at least one trace, exposed sorted by label.
+
+    A log is held as its traces or as its coded form: a label table and
+    one buffer of event codes, which the CSV reader builds (`from_coded`).
+    Either is built from the other on first use and kept, so every
+    backend reads codes and `traces` works on every log.
     """
 
-    __slots__ = ("_traces", "_by_id", "_alphabet")
+    __slots__ = ("_traces", "_ids", "_coded", "_by_id", "_alphabet")
 
     def __init__(self, traces: Iterable[Trace]):
         tup = tuple(traces)
@@ -201,36 +233,77 @@ class EventLog:
             by_id[tr.id] = tr
         self._traces = tup
         self._by_id = by_id
-        self._alphabet = tuple(sorted({ev for tr in tup for ev in tr.events}))
+        self._ids = tuple(by_id)
+        self._coded = self._alphabet = None
+
+    @classmethod
+    def from_coded(cls, ids: tuple[int, ...], coded: CodedLog) -> "EventLog":
+        """The log whose trace ids[i] holds the events of trace i of `coded`.
+
+        The ids must be distinct and non-negative. The codes are the
+        log's label table: each of its activities occurs in some trace,
+        and no event has the code that stands for every other activity.
+        """
+        log = cls.__new__(cls)
+        log._ids, log._coded = ids, coded
+        log._traces = log._by_id = log._alphabet = None
+        return log
 
     @property
     def traces(self) -> tuple[Trace, ...]:
+        if self._traces is None:
+            coded = self._coded
+            labels = (*coded.codes, None, None)  # no activity for the last two codes
+            flat = tuple(map(labels.__getitem__, coded.events))
+            starts = itertools.accumulate([n + 1 for n in coded.lengths], initial=0)
+            events = [flat[at : at + n] for at, n in zip(starts, coded.lengths)]
+            self._traces = tuple(map(Trace, self._ids, events))
         return self._traces
 
     @property
+    def trace_ids(self) -> tuple[int, ...]:
+        return self._ids
+
+    @property
+    def coded(self) -> CodedLog:
+        """The log's own coded form, whose codes are exactly its activities:
+        in the order the reader met them, or else in alphabet order."""
+        if self._coded is None:
+            self._coded = code_events(self._traces, self.alphabet)
+        return self._coded
+
+    @property
     def alphabet(self) -> tuple[Activity, ...]:
+        if self._alphabet is None:
+            if self._coded is None:
+                acts = set(itertools.chain.from_iterable(tr.events for tr in self._traces))
+            else:
+                acts = self._coded.codes
+            self._alphabet = tuple(sorted(acts))
         return self._alphabet
 
     def get(self, trace_id: int) -> Trace:
+        if self._by_id is None:
+            self._by_id = dict(zip(self._ids, self.traces))
         return self._by_id[trace_id]
 
     def __len__(self) -> int:
-        return len(self._traces)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Trace]:
-        return iter(self._traces)
+        return iter(self.traces)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, EventLog) and self._traces == other._traces
+        return isinstance(other, EventLog) and self.traces == other.traces
 
     def __hash__(self) -> int:
-        return hash(self._traces)
+        return hash(self.traces)
 
     def __repr__(self) -> str:
-        return f"EventLog({len(self._traces)} traces, {len(self._alphabet)} activities)"
+        return f"EventLog({len(self)} traces, {len(self.alphabet)} activities)"
 
     def __reduce__(self):
-        return EventLog, (self._traces,)
+        return EventLog, (self.traces,)
 
 
 class TemplateKind(Enum):

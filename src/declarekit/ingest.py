@@ -16,11 +16,14 @@ import io
 import operator
 import os
 import re
-from itertools import compress, islice, repeat
+from itertools import count, groupby, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .core import Activity, Constraint, DeclareModel, EventLog, Record, TemplateKind, Trace
+from .core import (
+    Activity, CodedLog, Constraint, DeclareModel, EventLog, Record, TemplateKind, Trace,
+    code_buffer,
+)
 
 if TYPE_CHECKING:  # tasks loads every backend; only queries need it, at run time
     from .tasks import CheckReport, Query, Variable
@@ -614,9 +617,26 @@ def _parse_csv_text(text: str) -> EventLog:
 # Characters of text per chunk of _parse_csv_chunks, which also takes the
 # rest of the line that the chunk ends in.
 _CSV_CHUNK = 1 << 16
-# Positions below this bound, spelled as write_csv spells them, are read
-# from a table, about four times as fast as by int(), which reads the rest.
-_SMALL_POSITIONS = 1024
+# Positions below this bound, spelled as write_csv spells them, are checked
+# by comparing lists of spellings; int() reads the rest.
+_SPELLED = [str(p) for p in range(1024)]
+
+
+def _last_position(spelled: list[str], before: int | None) -> int | None:
+    """The last of a run's positions, or None unless they are integers
+    that grow, from above `before` when one is given. Positions that go on
+    from `before` as write_csv spells them are checked by one comparison
+    of lists; int() reads any others."""
+    first = 0 if before is None else before + 1
+    if first >= 0 and spelled == _SPELLED[first : first + len(spelled)]:
+        return first + len(spelled) - 1
+    try:
+        pos = list(map(int, spelled))
+    except ValueError:
+        return None
+    if before is not None and pos[0] <= before:
+        return None
+    return None if any(map(operator.ge, pos, islice(pos, 1, None))) else pos[-1]
 
 
 def _parse_csv_chunks(text: str) -> EventLog | None:
@@ -630,8 +650,10 @@ def _parse_csv_chunks(text: str) -> EventLog | None:
 
     Each chunk of lines is split once, with a field that holds just the
     line end after each line, so the fields of column j are every step-th
-    field from the j-th. Each run of rows of one case is appended to that
-    case's events at once.
+    field from the j-th. Labels are coded in order of first occurrence,
+    and each run of rows of one case appends its codes to that case's at
+    once. The log keeps the label table and one buffer of codes: it
+    builds no trace.
     """
     limit = csv.field_size_limit()
     nl = text.find("\n")
@@ -642,9 +664,8 @@ def _parse_csv_chunks(text: str) -> EventLog | None:
     k = len(header)
     step = k + 1  # the fields of a line, and the "\n" field after them
     with_pos = k >= 3 and header[2] == "position"
-    small_positions = {str(p): p for p in range(_SMALL_POSITIONS)} if with_pos else {}
-    acts: dict[str, Activity] = {}
-    cases: dict[str, list[Activity]] = {}
+    codes: dict[str, int] = {}  # label -> its code
+    cases: dict[str, list[int]] = {}  # case id -> the codes of its events
     last: dict[str, int] = {}  # case id -> its last position so far
     at, end = len(head) + 1, len(text)
     while at < end:
@@ -665,49 +686,51 @@ def _parse_csv_chunks(text: str) -> EventLog | None:
         if len(fields) != lines * step + 1 or fields[k::step].count("\n") != lines:
             return None
         ids = fields[0:-1:step]
-        if "" in ids:
-            return None
         labels = fields[1::step]
-        for label in set(labels).difference(acts):
-            try:
-                acts[label] = Activity(label)
-            except ValueError:
+        try:
+            events = list(map(codes.__getitem__, labels))
+        except KeyError:  # labels not seen before, coded in order of first occurrence
+            for label in dict.fromkeys(labels):
+                if label not in codes:
+                    try:
+                        Activity(label)
+                    except ValueError:
+                        return None
+                    codes[label] = len(codes)
+            events = list(map(codes.__getitem__, labels))
+        column = fields[2::step]
+        s = 0
+        for case, rows in groupby(ids):
+            e = s + len(list(rows))
+            if not case:
                 return None
-        events = list(map(acts.__getitem__, labels))
-        starts = compress(range(1, lines), map(operator.ne, islice(ids, 1, None), ids))
-        bounds = [0, *starts, lines]
-        if with_pos:
-            column = fields[2::step]
-            try:
-                pos = list(map(small_positions.__getitem__, column))
-            except KeyError:  # a position past the table, or spelled otherwise
-                try:
-                    pos = list(map(int, column))
-                except ValueError:
+            if with_pos:
+                top = _last_position(column[s:e], last.get(case))
+                if top is None:
                     return None
-            # Positions grow within a run, so they may fall only where one starts.
-            falls = compress(range(1, lines), map(operator.ge, pos, islice(pos, 1, None)))
-            if not set(bounds).issuperset(falls):
-                return None
-        for s, e in zip(bounds, islice(bounds, 1, None)):
-            case = ids[s]
+                last[case] = top
             got = cases.get(case)
             if got is None:
                 cases[case] = events[s:e]
-            elif with_pos and pos[s] <= last[case]:
-                return None
             else:
                 got += events[s:e]
-            if with_pos:
-                last[case] = pos[e - 1]
+            s = e
     try:
         tids = list(map(int, cases))
     except ValueError:
         return None
     if len(set(tids)) != len(tids) or min(tids, default=0) < 0:
         return None
-    traces = map(Trace, tids, map(tuple, cases.values()))
-    return EventLog(sorted(traces, key=operator.attrgetter("id")))
+    order = sorted(range(len(tids)), key=tids.__getitem__)
+    runs = list(cases.values())
+    stop = len(codes) + 1  # the code that ends a trace
+    buffer: list[int] = []
+    for i in order:
+        buffer += runs[i]
+        buffer.append(stop)
+    table = dict(zip(map(Activity, codes), codes.values()))
+    coded = CodedLog(table, code_buffer(buffer, stop), [len(runs[i]) for i in order])
+    return EventLog.from_coded(tuple(map(tids.__getitem__, order)), coded)
 
 
 def _parse_csv_rows(text: str) -> EventLog:
@@ -821,16 +844,24 @@ def _repeated_position(text: str) -> IngestError:
 
 
 def write_csv(log: EventLog) -> str:
+    """One row per event, case_id,activity,position, traces in log order;
+    each trace is written by one writerows call unless a label of the log
+    holds a carriage return."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     # The writer quotes "\n" but not a lone "\r", which readers take for a line end.
     quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(["case_id", "activity", "position"])
+    plain = not any("\r" in act.label for act in log.alphabet)
     for trace in log.traces:
         if not trace.events:
             raise IngestError(f"trace {trace.id} has no events; row form cannot hold it")
-        for pos, act in enumerate(trace.events):
-            (quote_all if "\r" in act.label else writer).writerow([trace.id, act.label, pos])
+        rows = zip(repeat(trace.id), map(operator.attrgetter("label"), trace.events), count())
+        if plain:
+            writer.writerows(rows)
+        else:
+            for row in rows:
+                (quote_all if "\r" in row[1] else writer).writerow(row)
     return buf.getvalue()
 
 
@@ -873,19 +904,23 @@ def _report_json(report: CheckReport, log_name: str, model_name: str) -> str:
 
     Written directly, since that encoder runs in pure Python. Strings are
     escaped as ensure_ascii escapes them; the two cells of each constraint
-    are rendered once and picked per trace by the verdict. The matrix rows
-    are joined once, straight into the document, so that no more than two
-    copies of the matrix text are alive at a time.
+    are rendered once, and so is each distinct row of verdicts, which the
+    rows share. The matrix rows are joined once, straight into the
+    document, so that no more than two copies of the matrix text are
+    alive at a time.
     """
     from json.encoder import encode_basestring_ascii as enc  # only reports need it
 
     cids, verdicts = _report_rows(report)
     pairs = [(f"      {enc(str(cid))}: false", f"      {enc(str(cid))}: true") for cid in cids]
-    rows = ",\n".join([
-        f"    {enc(str(tid))}: "
-        + _json_block("{}", list(map(operator.getitem, pairs, bits)), "    ")
-        for tid, bits in verdicts
-    ])
+    blocks: dict[tuple[int, ...], str] = {}  # verdict row -> its rendered cells
+    parts = []
+    for tid, bits in verdicts:
+        block = blocks.get(bits)
+        if block is None:
+            block = blocks[bits] = _json_block("{}", list(map(operator.getitem, pairs, bits)), "    ")
+        parts += (",\n", f"    {enc(str(tid))}: ", block)
+    rows = "".join(parts[1:])  # no separator before the first row
     supports = [
         f"    {enc(str(cid))}: {enc(_fraction_str(report.supports[cid]))}" for cid in cids
     ]

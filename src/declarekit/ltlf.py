@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .core import Activity, CodedLog, Record, TemplateKind, Trace, code_events
+from .core import Activity, CodedLog, Record, TemplateKind, Trace, code_events, remap
 
 
 class Formula(Record):
@@ -619,13 +619,14 @@ def _atom_masks(
 ) -> dict[Activity, int]:
     """The mask of each atom over the layout coded.events[start:stop].
 
-    The layout is written once as bytes, one per digit: byte k for an
-    event of the k-th atom, 0 for a guard or an event of any other
-    activity. Each atom's mask is then one `bytes.translate` to '0'/'1'
-    digits and one `int(..., 2)`, which has no digit limit. A plan naming
-    more than 255 atoms writes the layout once per 255 of them.
+    The layout is written once as bytes, one per digit, by one `remap`
+    of the codes: byte k for an event of the k-th atom, 0 for a guard or
+    an event of any other activity. Each atom's mask is then one
+    `bytes.translate` to '0'/'1' digits and one `int(..., 2)`, which has
+    no digit limit. A plan naming more than
+    255 atoms writes the layout once per 255 of them.
     """
-    pick = itemgetter(*coded.events[start:stop])
+    events = coded.events[start:stop]
     masks = {}
     for first in range(0, len(atoms), 255):
         chunk = atoms[first : first + 255]
@@ -634,7 +635,7 @@ def _atom_masks(
             code = coded.codes.get(atom)
             if code is not None:
                 byte[code] = k
-        layout = bytes(pick(byte))
+        layout = remap(events, byte)
         for k, atom in enumerate(chunk, 1):
             masks[atom] = int(layout.translate(b"0" * k + b"1" + b"0" * (255 - k)), 2)
     return masks

@@ -3,8 +3,9 @@
 Three interchangeable backends produce identical verdicts whenever a
 constraint's activation and target differ: positional rules (direct),
 formula evaluation (tree), and compiled automata (dfa). Every task gets
-its verdicts from `check_log`, one call per log: each event is coded once
-as a small integer and every backend checks the whole log at a time.
+its verdicts from `check_log`, one call per log: the log's events, coded
+once as small integers, are mapped to the constraints' codes and every
+backend checks the whole log at a time.
 Verdicts stay in per-constraint columns up to the report, and supports
 are exact rationals over the number of traces.
 """
@@ -19,7 +20,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .automata import template_dfa, walk_log
 from .core import (
     Activity,
     CodedLog,
@@ -31,8 +31,6 @@ from .core import (
     Trace,
     code_events,
 )
-from .direct import scan_log
-from .ltlf import eval_log, template_formula
 
 
 class Backend(Enum):
@@ -56,12 +54,14 @@ class EmptyLogError(ValueError):
 
 
 def check_log(
-    traces: Sequence[Trace], constraints: Sequence[Constraint], backend: Backend
+    traces: EventLog | Sequence[Trace], constraints: Sequence[Constraint], backend: Backend
 ) -> list[bytearray]:
-    """Every constraint's verdict on every trace: `verdicts[j][i]` is 1
-    when constraints[j] holds on traces[i] and 0 otherwise.
+    """Every constraint's verdict on every trace of a log or a sequence of
+    traces: `verdicts[j][i]` is 1 when constraints[j] holds on trace i
+    and 0 otherwise.
 
-    Each event is coded once and every backend checks the whole log at a
+    Each event is coded once, or a log's own codes are mapped to the
+    constraints' codes, and every backend checks the whole log at a
     time: direct maps each constraint's rule over the traces as strings
     of codes, tree evaluates one plan holding each distinct subformula
     once per block of traces, and dfa walks one colored product
@@ -75,13 +75,20 @@ def _check_coded(
     coded: CodedLog, constraints: Sequence[Constraint], backend: Backend
 ) -> list[bytearray]:
     """`check_log` on a log coded by `code_events` with every activity
-    the constraints name among the coded ones."""
+    the constraints name among the coded ones. Each backend's modules are
+    imported by its branch, so a check loads only the backend it runs."""
     if backend is Backend.DIRECT:
+        from .direct import scan_log
+
         return scan_log(constraints, coded)
     if backend is Backend.TREE:
+        from .ltlf import eval_log, template_formula
+
         formulas = [template_formula(c.kind, c.activation, c.target) for c in constraints]
         return eval_log(formulas, coded)
     if backend is Backend.DFA:
+        from .automata import template_dfa, walk_log
+
         dfas = [template_dfa(c.kind, c.activation, c.target) for c in constraints]
         return walk_log(dfas, coded)
     raise ValueError(f"unhandled backend {backend!r}")
@@ -165,8 +172,8 @@ def conformance_check(
     set and supports are read off them.
     """
     ids = tuple(c.id for c in model.constraints)
-    columns = check_log(log.traces, model.constraints, backend)
-    trace_ids = tuple(tr.id for tr in log.traces)
+    columns = check_log(log, model.constraints, backend)
+    trace_ids = log.trace_ids
     n = len(trace_ids)
 
     supports = {
@@ -188,7 +195,7 @@ def support(constraint: Constraint, log: EventLog, backend: Backend = Backend.DI
     """Fraction of traces satisfying the constraint; undefined on empty logs."""
     if len(log) == 0:
         raise EmptyLogError("support is undefined on an empty log")
-    (column,) = check_log(log.traces, (constraint,), backend)
+    (column,) = check_log(log, (constraint,), backend)
     return Fraction(sum(column), len(log))
 
 
@@ -288,7 +295,7 @@ def query_check(
     answers: list[QueryAnswer] = []
     named = [a for term in query.terms for a in (term.activation, term.target)
              if isinstance(a, Activity)]
-    coded = code_events(log.traces, itertools.chain(named, *domains))
+    coded = code_events(log, itertools.chain(named, *domains))
 
     for combo in itertools.product(*domains):
         binding = dict(zip(variables, combo))

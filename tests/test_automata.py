@@ -85,6 +85,19 @@ def test_template_dfas_are_minimal():
         assert_minimal(template_dfa(kind, A, B))
 
 
+def test_template_dfa_instances_equal_their_own_compilation():
+    """An instance of a kind's shared automaton equals the instance compiled
+    and minimized on its own, for every ordered pair of labels: either
+    label order, labels that sort around the placeholders arg_0 and arg_1
+    or are them, and activation equal to target."""
+    labels = [Activity(s) for s in ("a", "b", "arg_0", "arg_1", "Z", "é")]
+    for kind in TemplateKind:
+        for x, y in itertools.product(labels, repeat=2):
+            want = minimize(compile_formula(template_formula(kind, x, y)))
+            assert template_dfa.__wrapped__(kind, x, y) == want, (kind, x, y)
+            assert template_dfa(kind, x, y) == want, (kind, x, y)
+
+
 def _with_unreachable_states(dfa):
     """`dfa` behind three states no symbol reaches, numbered first: one
     accepting sink, one copy of the initial state and one that enters both."""

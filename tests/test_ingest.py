@@ -3,6 +3,7 @@
 import csv
 import gzip
 import json
+import pickle
 import random
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from declarekit import ingest
+from declarekit.core import code_events
 from declarekit import (
     Activity,
     Backend,
@@ -759,6 +761,91 @@ def test_chunk_reader_reads_canonical_documents_alone(monkeypatch):
         assert parse_csv(exported) == log
         assert parse_csv("\ufeff" + exported) == log  # with a byte-order mark
         assert parse_csv(text.rstrip("\n")) == log
+
+
+# Position spellings the row reader reads with int(), that write_csv never writes.
+_ODD_SPELLINGS = {"+": "+{}", " ": " {}", "0": "0{}"}
+
+
+@st.composite
+def _coded_csv_documents(draw):
+    """A CSV log document the chunk reader may code: cases in runs, whose
+    positions count up as write_csv writes them, or with gaps, repeats,
+    negative starts and spellings of their own; a few draws shuffle the
+    rows, add blank lines, use ids that are not numbers, or add a case of
+    260 labels, so that the codes no longer fit in a byte."""
+    with_pos = draw(st.booleans())
+    header = "case_id,activity" + (",position" if with_pos else "")
+    ids = draw(st.lists(st.sampled_from(["0", "1", "7", "12", "x", "01"]),
+                        min_size=1, max_size=4, unique=True))
+    labels = st.sampled_from(["a", "b", "c", "é", "a b"])
+    rows: list[list[str]] = []
+    # The position before each case's first: most start at 0, a few below it.
+    last = {case: draw(st.sampled_from([-1, -1, -1, -4, -1026])) for case in ids}
+    for case, length in draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 4)),
+                                      max_size=6)):
+        for _ in range(length):
+            step = draw(st.sampled_from([1, 1, 1, 2, 0]))  # 0 repeats a position
+            last[case] += step
+            spelled = str(last[case])
+            if draw(st.integers(0, 9)) == 0:
+                spelled = _ODD_SPELLINGS[draw(st.sampled_from(sorted(_ODD_SPELLINGS)))].format(spelled)
+            rows.append([case, draw(labels)] + [spelled] * with_pos)
+    if draw(st.integers(0, 3)) == 0:
+        wide = [f"w{i}" for i in range(260)]
+        rows += [["99", label] + [str(p)] * with_pos for p, label in enumerate(wide)]
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows = draw(st.permutations(rows))
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_coded_csv_documents(), chunk=st.sampled_from([1, 16, 1 << 16]))
+@example(text="case_id,activity,position\n0,a,0\n0,b,+1\n0,c, 2\n0,d,03\n", chunk=1 << 16)
+@example(text="case_id,activity,position\n0,a,0\n0,b,5\n1,c,0\n0,d,9\n", chunk=1 << 16)
+@example(text="case_id,activity,position\n0,a,5\n0,b,9\n0,c,7\n", chunk=1 << 16)
+@example(text="case_id,activity,position\n0,a,-1\n0,b,0\n", chunk=1 << 16)
+@example(text="case_id,activity,position\n0,a,1022\n0,b,1023\n0,c,1024\n", chunk=1)
+@example(text="case_id,activity,position\n0,a,-3\n1,x,0\n0,b,1022\n1,y,1\n0,c,0\n", chunk=1 << 16)
+@example(text="case_id,activity,position\n0,a,-1025\n1,x,0\n0,b,0\n0,c,1\n1,y,1\n0,d,0\n",
+         chunk=1 << 16)
+def test_coded_reader_gives_the_row_readers_log(text, chunk):
+    """Every document loads to the log the row reader gives, or to its
+    error; a coded log answers `traces`, `alphabet`, `get`, hashing,
+    pickling and coding as the same log built from its traces does."""
+    saved, ingest._CSV_CHUNK = ingest._CSV_CHUNK, chunk
+    try:
+        _check_coded_reader(text)
+    finally:
+        ingest._CSV_CHUNK = saved
+
+
+def _check_coded_reader(text):
+    expected = _outcome(ingest._parse_csv_rows, text)
+    assert _outcome(parse_csv, text) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        got = _outcome(load_log, path)
+    if not isinstance(expected, EventLog):
+        assert got == (f"{path}: {expected[0]}", expected[1])
+        return
+    plain = EventLog(expected.traces)
+    # Fresh coded logs: each question is the first one it is asked.
+    assert parse_csv(text).alphabet == plain.alphabet
+    assert hash(parse_csv(text)) == hash(plain)
+    assert pickle.loads(pickle.dumps(parse_csv(text))).traces == plain.traces
+    log = parse_csv(text)
+    assert len(log) == len(plain) and log.trace_ids == tuple(tr.id for tr in plain.traces)
+    assert repr(log) == repr(plain)
+    named = [Activity("a"), Activity("zz"), *plain.alphabet[-2:]]
+    assert code_events(log, named) == code_events(plain.traces, named)
+    for trace in plain.traces:
+        assert log.get(trace.id) == trace
+    assert log.traces == plain.traces and log == plain == got
 
 
 # --------------------------------------------------------------------------
