@@ -108,7 +108,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--backend", type=_backend, default="direct")
     p.add_argument("--out", help="write a report file")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
 
     p = sub.add_parser("query", help="enumerate bindings meeting a support threshold")
     p.add_argument("--log", required=True)
@@ -141,7 +141,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--len", type=int, required=True, dest="length")
     p.add_argument("--alphabet", type=int, default=15)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="factlog path; labels go to <out>.labels.csv")
+    p.add_argument("--out", required=True,
+                   help="log path, format by suffix; labels go to <out>.labels.csv")
 
     p = sub.add_parser("convert", help="transcode a log between formats")
     p.add_argument("--in", dest="src", required=True)
@@ -164,13 +165,17 @@ def _write_json(path: str, doc) -> None:
 
 
 def _cmd_check(args) -> int:
+    if args.format and not args.out:
+        raise ValueError("--format goes with --out")
     log = _module.load_log(args.log)
     model = _module.load_model(args.model)
     started = time.perf_counter()
     report = _module.conformance_check(log, model, args.backend)
     elapsed = time.perf_counter() - started
     if args.out:
-        data = _module.write_report(report, args.format, log_name=args.log, model_name=args.model)
+        data = _module.write_report(
+            report, args.format or "json", log_name=args.log, model_name=args.model
+        )
         Path(args.out).write_bytes(data)
     print(
         f"{len(report.compliant)}/{len(log)} constraints={len(model)} "
@@ -280,7 +285,7 @@ def _cmd_generate(args) -> int:
     target = Activity(slots.get("arg_1", "a_1"))
     constraint = Constraint(0, args.template, activation, target)
     generated = _module.generate_log(constraint, args.n, args.length, args.alphabet, args.seed)
-    Path(args.out).write_text(_module.write_factlog(generated.log), encoding="utf-8")
+    _module.save_log(generated.log, args.out)
     manifest = Path(args.out).with_suffix("").as_posix() + ".labels.csv"
     Path(manifest).write_text(_module.write_label_manifest(generated), encoding="utf-8")
     print(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import Activity, CodedLog, Record, TemplateKind, Trace, code_events, remap
 
@@ -553,15 +553,14 @@ def _nnf(f: Formula, positive: bool) -> Formula:
 # --------------------------------------------------------------------------
 # Evaluation
 #
-# A log is evaluated bottom-up, one step per distinct subformula, over
-# blocks of whole traces. A block is laid out as one binary string: each
-# trace's positions in order, then one guard digit (an empty trace is its
-# guard alone); digit d of an L-digit layout is bit L-1-d, so a later
-# position is a lower bit and each trace's guard sits just below its last
-# position. A step's values at every digit of the block are one integer,
-# 0 on guards, and every operator is a few big-int operations with no
-# loop over positions or traces. With B the guard mask, full = ALL ^ B
-# and last = (B << 1) & full:
+# A log is evaluated bottom-up, one step per distinct subformula, over one
+# layout of the whole log as a binary string: each trace's positions in
+# order, then one guard digit (an empty trace is its guard alone); digit d
+# of an L-digit layout is bit L-1-d, so a later position is a lower bit
+# and each trace's guard sits just below its last position. A step's
+# values at every digit of the log are one integer, 0 on guards, and every
+# operator is a few big-int operations with no loop over positions or
+# traces. With B the guard mask, full = ALL ^ B and last = (B << 1) & full:
 #
 #   X p = (p << 1) & full          Xw p = X p | last
 #   l U r = ((a + r) ^ a ^ r) >> 1 where a = l | r
@@ -577,14 +576,6 @@ def _nnf(f: Formula, positive: bool) -> Formula:
 
 # One evaluation step: (node class, child steps, atom or None).
 _Step = tuple[type, tuple[int, ...], Activity | None]
-
-# Traces are laid out in blocks of about this many digits; a longer trace
-# is a block of its own. Blocks this small keep each mask (256 bytes) and
-# each per-block buffer in memory the rest of a run reuses: on CPython
-# 3.11 with glibc, checking 2,000 traces of 5 to 60 events left 0.13 to
-# 0.42 MiB more resident with blocks of 2**12 to 2**18 digits than with
-# 2**11, for no less time.
-_BLOCK_DIGITS = 1 << 11
 
 # Translates the digits b"0" and b"1" to the bytes 0 and 1.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -614,19 +605,16 @@ def _plan(formulas: tuple[Formula, ...]) -> tuple[tuple[_Step, ...], tuple[int, 
     return tuple(steps), roots
 
 
-def _atom_masks(
-    atoms: list[Activity], coded: CodedLog, start: int, stop: int
-) -> dict[Activity, int]:
-    """The mask of each atom over the layout coded.events[start:stop].
+def _atom_masks(atoms: list[Activity], coded: CodedLog) -> dict[Activity, int]:
+    """The mask of each atom over the layout of the whole coded log.
 
     The layout is written once as bytes, one per digit, by one `remap`
     of the codes: byte k for an event of the k-th atom, 0 for a guard or
     an event of any other activity. Each atom's mask is then one
     `bytes.translate` to '0'/'1' digits and one `int(..., 2)`, which has
-    no digit limit. A plan naming more than
-    255 atoms writes the layout once per 255 of them.
+    no digit limit. A plan naming more than 255 atoms writes the layout
+    once per 255 of them.
     """
-    events = coded.events[start:stop]
     masks = {}
     for first in range(0, len(atoms), 255):
         chunk = atoms[first : first + 255]
@@ -635,27 +623,38 @@ def _atom_masks(
             code = coded.codes.get(atom)
             if code is not None:
                 byte[code] = k
-        layout = remap(events, byte)
+        layout = remap(coded.events, byte)
         for k, atom in enumerate(chunk, 1):
             masks[atom] = int(layout.translate(b"0" * k + b"1" + b"0" * (255 - k)), 2)
     return masks
 
 
-def _eval_block(
-    steps: tuple[_Step, ...], coded: CodedLog, start: int, stop: int, lengths: list[int]
-) -> list[int]:
-    """Per-step masks over the layout coded.events[start:stop] of traces
-    of `lengths` events, at least one of them non-empty."""
+def _eval_steps(
+    steps: tuple[_Step, ...], roots: tuple[int, ...], coded: CodedLog
+) -> list[int | None]:
+    """Per-step masks over the layout of a coded log of at least one trace.
+
+    Each mask is dropped, left as None, after the last step that reads
+    it, and each atom's mask when its step reads it, so only the roots'
+    masks are left at the end.
+    """
     # The guard digits: each trace's positions are 0s, then its guard a 1.
-    guards = int(b"1".join([b"0" * n for n in lengths]) + b"1", 2)
-    full = ((1 << (stop - start)) - 1) ^ guards
+    guards = int(b"1".join([b"0" * n for n in coded.lengths]) + b"1", 2)
+    full = ((1 << len(coded.events)) - 1) ^ guards
     last = (guards << 1) & full  # an empty trace has a guard and no last position
-    atom = _atom_masks([a for op, _, a in steps if op is Atom], coded, start, stop)
-    masks: list[int] = []
+    atom = _atom_masks([a for op, _, a in steps if op is Atom], coded)
+    # dead[k]: the steps whose last reader is step k; a root is read after the loop.
+    reader = {kid: k for k, (_, kids, _) in enumerate(steps) for kid in kids}
+    for r in roots:
+        reader.pop(r, None)
+    dead: list[list[int]] = [[] for _ in steps]
+    for kid, k in reader.items():
+        dead[k].append(kid)
+    masks: list[int | None] = []
     # Node classes are tested roughly in order of how often templates use them.
     for op, kids, activity in steps:
         if op is Atom:
-            m = atom[activity]
+            m = atom.pop(activity)
         elif op is Not:
             m = full ^ masks[kids[0]]
         elif op is And:
@@ -698,22 +697,10 @@ def _eval_block(
             m = 0
         else:
             raise AssertionError(f"no mask rule for {op.__name__}")
+        for k in dead[len(masks)]:
+            masks[k] = None
         masks.append(m)
     return masks
-
-
-def _blocks(lengths: list[int]) -> Iterator[tuple[int, int, int, int]]:
-    """Runs of whole traces of about _BLOCK_DIGITS digits, as (first trace,
-    end trace, first digit, end digit); a trace takes its events and its
-    guard. A longer trace is a block of its own."""
-    first = start = stop = 0
-    for i, n in enumerate(lengths):
-        stop += n + 1
-        if stop - start >= _BLOCK_DIGITS:
-            yield first, i + 1, start, stop
-            first, start = i + 1, stop
-    if first < len(lengths):
-        yield first, len(lengths), start, stop
 
 
 def eval_log(formulas: Sequence[Formula], coded: CodedLog) -> list[bytearray]:
@@ -723,32 +710,31 @@ def eval_log(formulas: Sequence[Formula], coded: CodedLog) -> list[bytearray]:
     coded activities. `verdicts[j][i]` is 1 when formula j holds at
     position 0 of trace i, or on an empty trace i when ev_empty holds,
     and 0 otherwise. One plan holds each distinct subformula of all the
-    formulas once, and each block of traces evaluates it once.
+    formulas once, and it is evaluated once over the whole log.
     """
     formulas = tuple(formulas)
+    if not coded.lengths:
+        return [bytearray() for _ in formulas]
     steps, roots = _plan(formulas)
-    empty = [ev_empty(f) for f in formulas]
-    verdicts = [bytearray(len(coded.lengths)) for _ in formulas]
-    for first, last, start, stop in _blocks(coded.lengths):
-        lengths = coded.lengths[first:last]
-        if stop - start > len(lengths):
-            masks = _eval_block(steps, coded, start, stop, lengths)
-        else:  # empty traces only
-            masks = [0] * len(steps)
-        # Digit 0 is a sentinel holding ev_empty, read by empty traces; the
-        # layout follows it, each trace's first position just after the
-        # guard of the trace before.
-        firsts, width = [], 1
-        for n in lengths:
-            firsts.append(width if n else 0)
-            width += n + 1
-        pick = itemgetter(*firsts)
-        top = width - 1
-        for column, r, e in zip(verdicts, roots, empty):
-            digits = format(masks[r] | (e << top), f"0{width}b")
-            # One digit per trace ("".join also takes the str that pick
-            # returns for a one-trace block), as bytes 0 and 1.
-            column[first:last] = "".join(pick(digits)).encode().translate(_DIGIT_VALUES)
+    masks = _eval_steps(steps, roots, coded)
+    # Digit 0 is a sentinel holding ev_empty, read by empty traces; the
+    # layout follows it, each trace's first position just after the guard
+    # of the trace before.
+    firsts, width = [], 1
+    for n in coded.lengths:
+        firsts.append(width if n else 0)
+        width += n + 1
+    pick = itemgetter(*firsts)
+    top = width - 1
+    last_read = {r: j for j, r in enumerate(roots)}
+    verdicts = []
+    for j, (f, r) in enumerate(zip(formulas, roots)):
+        digits = format(masks[r] | (ev_empty(f) << top), f"0{width}b")
+        if last_read[r] == j:
+            masks[r] = None
+        # One digit per trace ("".join also takes the str that pick
+        # returns for a one-trace log), as bytes 0 and 1.
+        verdicts.append(bytearray("".join(pick(digits)), "ascii").translate(_DIGIT_VALUES))
     return verdicts
 
 

@@ -64,7 +64,7 @@ def check_log(
     constraints' codes, and every backend checks the whole log at a
     time: direct maps each constraint's rule over the traces as strings
     of codes, tree evaluates one plan holding each distinct subformula
-    once per block of traces, and dfa walks one colored product
+    once over the whole log, and dfa walks one colored product
     automaton per group of constraints over the same activities.
     """
     named = (a for c in constraints for a in (c.activation, c.target))

@@ -90,6 +90,24 @@ def test_check_report_identical_across_runs_and_formats(workdir):
     assert from_lp == from_csv
 
 
+def test_check_format_goes_with_out(workdir):
+    """--format picks the report's format, so without --out, where it
+    would be ignored, it exits 3; --out alone writes JSON."""
+    from declarekit import conformance_check, load_log, load_model, write_report
+
+    check = ("check", "--log", "log.lp", "--model", "model.lp")
+    out = run_cli(*check, "--format", "csv", cwd=workdir)
+    assert out.returncode == 3
+    assert out.stderr == "declarekit: --format goes with --out\n"
+    assert out.stdout == ""
+    report = conformance_check(load_log(workdir / "log.lp"), load_model(workdir / "model.lp"))
+    for name, extra, fmt in (("r.json", (), "json"), ("r.csv", ("--format", "csv"), "csv")):
+        out = run_cli(*check, "--out", name, *extra, cwd=workdir)
+        assert out.returncode == 0, out.stderr
+        want = write_report(report, fmt, log_name="log.lp", model_name="model.lp")
+        assert (workdir / name).read_bytes() == want, fmt
+
+
 def test_check_threads_flag_is_gone(workdir):
     out = run_cli(
         "check", "--log", "log.lp", "--model", "model.lp", "--threads", "2",
@@ -367,6 +385,33 @@ def test_generate_is_deterministic(workdir):
         )
         assert out.returncode == 0, out.stderr
     assert (workdir / "g1.lp").read_bytes() == (workdir / "g2.lp").read_bytes()
+
+
+def test_generate_writes_the_format_its_suffix_names(workdir):
+    """--out picks the log format by its suffix, as convert does: each log
+    suffix loads back as the .lp log, and an unknown suffix exits 2 and
+    writes neither the log nor its labels."""
+    from declarekit import load_log
+
+    generate = ("generate", "--template", "Response", "--n", "6", "--len", "5",
+                "--alphabet", "4", "--seed", "3", "--out")
+    for name in ("g.lp", "g.csv", "g.xes", "g.xes.gz"):
+        out = run_cli(*generate, name, cwd=workdir)
+        assert out.returncode == 0, (name, out.stderr)
+    want = load_log(workdir / "g.lp")
+    assert len(want) == 6
+    for name in ("g.csv", "g.xes", "g.xes.gz"):
+        assert load_log(workdir / name) == want, name
+    assert (workdir / "g.csv").read_text().startswith("case_id,activity")
+    assert gzip.decompress((workdir / "g.xes.gz").read_bytes()) == (workdir / "g.xes").read_bytes()
+    out = run_cli(*generate, "bad.txt", cwd=workdir)
+    assert out.returncode == 2
+    assert out.stderr == (
+        "declarekit: cannot infer log format from suffix of 'bad.txt'; "
+        "expected .lp, .csv, .xes, or .xes.gz\n"
+    )
+    assert not (workdir / "bad.txt").exists()
+    assert not (workdir / "bad.labels.csv").exists()
 
 
 def test_convert_round_trip(workdir):

@@ -5,7 +5,6 @@ import itertools
 import pickle
 import random
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -596,6 +595,29 @@ def test_equal_formulas_share_one_root():
         assert [column[i] == 1 for column in verdicts] == want, trace.events
 
 
+def test_only_root_masks_outlive_their_readers(monkeypatch):
+    """After a plan of several formulas is evaluated, every step's mask is
+    dropped after its last reader and every atom's mask once its step
+    reads it; only the roots' masks are left, Response's too, though
+    Succession reads it."""
+    formulas = tuple(template_formula(kind, A, B) for kind in TemplateKind)
+    formulas += (template_formula(TemplateKind.RESPONSE, B, C),)
+    steps, roots = _plan(formulas)
+    built = []
+
+    def recorded(atoms, coded):
+        built.append(atom_masks(atoms, coded))
+        return built[-1]
+
+    atom_masks = ltlf._atom_masks
+    monkeypatch.setattr(ltlf, "_atom_masks", recorded)
+    traces = list(all_traces(("a", "b", "c", "w"), 3))
+    masks = ltlf._eval_steps(steps, roots, code_events(traces, (A, B, C)))
+    assert len(masks) == len(steps) > len(set(roots))
+    assert [k for k, m in enumerate(masks) if m is not None] == sorted(set(roots))
+    assert built == [{}]
+
+
 def sweep_with_empty_traces(max_len):
     """Every trace over {a, b, w} up to max_len, each followed by an empty one."""
     empty = Trace(0, ())
@@ -639,14 +661,12 @@ def test_log_evaluation_matches_oracle_on_every_short_trace(monkeypatch):
 @given(
     st.lists(_any_formula, min_size=1, max_size=3),
     st.lists(st.lists(st.sampled_from("abcw"), max_size=8), max_size=12),
-    st.sampled_from([1, 2, 9, 1 << 11]),
 )
 @settings(max_examples=150, deadline=None)
-def test_log_evaluation_matches_oracle_on_random_logs(formulas, logs, block_digits):
-    """Any formulas on a random multi-trace log, in blocks of any size."""
+def test_log_evaluation_matches_oracle_on_random_logs(formulas, logs):
+    """Any formulas on a random multi-trace log."""
     traces = [Trace.from_labels(i, labels) for i, labels in enumerate(logs)]
-    with mock.patch.object(ltlf, "_BLOCK_DIGITS", block_digits):
-        verdicts = eval_log(formulas, code_events(traces, (A, B, C)))
+    verdicts = eval_log(formulas, code_events(traces, (A, B, C)))
     for f, column in zip(formulas, verdicts):
         assert [v == 1 for v in column] == [naive_eval(f, t) for t in traces], pretty(f)
 
