@@ -142,7 +142,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--alphabet", type=int, default=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True,
-                   help="log path, format by suffix; labels go to <out>.labels.csv")
+                   help="log path, format by suffix; labels go to <path less suffix>.labels.csv")
 
     p = sub.add_parser("convert", help="transcode a log between formats")
     p.add_argument("--in", dest="src", required=True)
@@ -286,7 +286,9 @@ def _cmd_generate(args) -> int:
     constraint = Constraint(0, args.template, activation, target)
     generated = _module.generate_log(constraint, args.n, args.length, args.alphabet, args.seed)
     _module.save_log(generated.log, args.out)
-    manifest = Path(args.out).with_suffix("").as_posix() + ".labels.csv"
+    from .ingest import _log_format  # loaded already, by save_log
+
+    manifest = Path(args.out).as_posix().removesuffix(_log_format(args.out)[0]) + ".labels.csv"
     Path(manifest).write_text(_module.write_label_manifest(generated), encoding="utf-8")
     print(
         f"wrote {args.n} traces of length {args.length} to {args.out} "

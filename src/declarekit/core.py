@@ -216,10 +216,10 @@ class EventLog:
     Empty traces are admitted; the log alphabet is the set of activities
     occurring in at least one trace, exposed sorted by label.
 
-    A log is held as its traces or as its coded form: a label table and
-    one buffer of event codes, which the CSV reader builds (`from_coded`).
-    Either is built from the other on first use and kept, so every
-    backend reads codes and `traces` works on every log.
+    A log is stored as its coded form only: a label table and one buffer
+    of event codes, which every reader builds (`from_codes`) and which
+    `EventLog(traces)` builds from its traces. Backends and writers read
+    codes; `traces` is built from them on first use and kept.
     """
 
     __slots__ = ("_traces", "_ids", "_coded", "_by_id", "_alphabet")
@@ -234,29 +234,34 @@ class EventLog:
         self._traces = tup
         self._by_id = by_id
         self._ids = tuple(by_id)
-        self._coded = self._alphabet = None
+        self._coded = code_events(tup, itertools.chain.from_iterable(tr.events for tr in tup))
+        self._alphabet = None
 
     @classmethod
-    def from_coded(cls, ids: tuple[int, ...], coded: CodedLog) -> "EventLog":
-        """The log whose trace ids[i] holds the events of trace i of `coded`.
-
-        The ids must be distinct and non-negative. The codes are the
-        log's label table: each of its activities occurs in some trace,
-        and no event has the code that stands for every other activity.
+    def from_codes(cls, ids: Sequence[int], codes: Sequence[list], labels: Iterable) -> EventLog:
+        """The log whose trace ids[i], in id order, holds the events coded
+        codes[i], a list of ints, code c being the activity of the c-th of
+        the `labels`. The ids are distinct and non-negative, and each label
+        occurs in some trace.
         """
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        table = {Activity(label): c for c, label in enumerate(labels)}
+        stop = len(table) + 1  # the code that ends a trace
+        buffer: list[int] = []
+        for i in order:
+            buffer += codes[i]
+            buffer.append(stop)
         log = cls.__new__(cls)
-        log._ids, log._coded = ids, coded
+        log._ids = tuple(map(ids.__getitem__, order))
+        log._coded = CodedLog(table, code_buffer(buffer, stop), [len(codes[i]) for i in order])
         log._traces = log._by_id = log._alphabet = None
         return log
 
     @property
     def traces(self) -> tuple[Trace, ...]:
         if self._traces is None:
-            coded = self._coded
-            labels = (*coded.codes, None, None)  # no activity for the last two codes
-            flat = tuple(map(labels.__getitem__, coded.events))
-            starts = itertools.accumulate([n + 1 for n in coded.lengths], initial=0)
-            events = [flat[at : at + n] for at, n in zip(starts, coded.lengths)]
+            labels = tuple(self._coded.codes)
+            events = [tuple(map(labels.__getitem__, map(ord, s))) for s in self._coded.strings]
             self._traces = tuple(map(Trace, self._ids, events))
         return self._traces
 
@@ -266,20 +271,14 @@ class EventLog:
 
     @property
     def coded(self) -> CodedLog:
-        """The log's own coded form, whose codes are exactly its activities:
-        in the order the reader met them, or else in alphabet order."""
-        if self._coded is None:
-            self._coded = code_events(self._traces, self.alphabet)
+        """The log's own coded form, whose codes are exactly its activities,
+        numbered in the order they were first met."""
         return self._coded
 
     @property
     def alphabet(self) -> tuple[Activity, ...]:
         if self._alphabet is None:
-            if self._coded is None:
-                acts = set(itertools.chain.from_iterable(tr.events for tr in self._traces))
-            else:
-                acts = self._coded.codes
-            self._alphabet = tuple(sorted(acts))
+            self._alphabet = tuple(sorted(self._coded.codes))
         return self._alphabet
 
     def get(self, trace_id: int) -> Trace:

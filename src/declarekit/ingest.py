@@ -7,6 +7,8 @@ a lowercase letter are written bare; anything else is quoted. The
 wildcard label "*" is rejected everywhere. XES support covers the
 concept:name subset, gzipped or plain; CSV carries case_id, activity,
 and an optional position column, and any columns after them are ignored.
+Every log reader codes each label the first time it meets it and builds
+the log from its codes (`EventLog.from_codes`); every writer reads them.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from itertools import count, groupby, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .core import (
-    Activity, CodedLog, Constraint, DeclareModel, EventLog, Record, TemplateKind, Trace,
-    code_buffer,
-)
+from .core import Activity, Constraint, DeclareModel, EventLog, Record, TemplateKind
 
-if TYPE_CHECKING:  # tasks loads every backend; only queries need it, at run time
+if TYPE_CHECKING:  # tasks loads fractions; only queries need it, at run time
     from .tasks import CheckReport, Query, Variable
 
 
@@ -166,13 +165,18 @@ class _FactScanner:
             out.append(self.fact())
 
 
-def _as_activity(arg, line: int) -> Activity:
+def _as_label(arg, line: int) -> str:
     if isinstance(arg, tuple) and arg[0] in ("ident", "quoted"):
-        try:
-            return Activity(arg[1])
-        except ValueError as exc:
-            raise IngestError(str(exc), line) from None
+        return arg[1]
     raise IngestError("expected an activity name", line)
+
+
+def _as_activity(arg, line: int) -> Activity:
+    label = _as_label(arg, line)
+    try:
+        return Activity(label)
+    except ValueError as exc:
+        raise IngestError(str(exc), line) from None
 
 
 def _as_int(arg, line: int) -> int:
@@ -184,16 +188,30 @@ def _as_int(arg, line: int) -> int:
 # --------------------------------------------------------------------------
 # Event logs as trace/3 facts
 
-def _trace_fact(fact: _Fact) -> tuple[int, int, Activity]:
-    """Id, position and activity of a trace/3 fact the scanner read."""
+def _code(codes: dict[str, int], label: str) -> int:
+    """The code of `label` in `codes`, which numbers labels 0, 1, ... in
+    the order a reader meets them; ValueError when Activity refuses one."""
+    code = codes.get(label)
+    if code is None:
+        Activity(label)
+        code = codes[label] = len(codes)
+    return code
+
+
+def _trace_fact(fact: _Fact, codes: dict[str, int]) -> tuple[int, int, int]:
+    """Id, position and label code (`_code`) of a trace/3 fact the scanner read."""
     if fact.name != "trace" or len(fact.args) != 3:
         raise IngestError(f"expected trace/3 facts, found {fact.name}/{len(fact.args)}", fact.line)
     tid = _as_int(fact.args[0], fact.line)
     pos = _as_int(fact.args[1], fact.line)
-    act = _as_activity(fact.args[2], fact.line)
+    label = _as_label(fact.args[2], fact.line)
+    try:
+        code = _code(codes, label)
+    except ValueError as exc:
+        raise IngestError(str(exc), fact.line) from None
     if tid < 0 or pos < 0:
         raise IngestError("trace id and position must be non-negative", fact.line)
-    return tid, pos, act
+    return tid, pos, code
 
 
 def _first_error(scanner: _FactScanner, exc: IngestError, rest: int) -> IngestError:
@@ -214,9 +232,10 @@ def parse_factlog(text: str) -> EventLog:
     """
     scanner = _FactScanner(text)
     match = _TRACE_FACT_RE.match
-    by_trace: dict[int, dict[int, Activity]] = {}
+    by_trace: dict[int, dict[int, int]] = {}  # trace id -> position -> code
     last: dict[int, int] = {}  # trace id -> offset of its last fact
-    acts: dict[str, Activity] = {}  # label as spelled -> activity
+    codes: dict[str, int] = {}  # label -> its code
+    spelled: dict[str, int] = {}  # label as spelled -> its code
     scanner.skip_ws()
     at, end = scanner.pos, len(text)
     while at < end:
@@ -229,10 +248,11 @@ def parse_factlog(text: str) -> EventLog:
             except ValueError:  # longer than the interpreter converts
                 err = IngestError(_too_long(max(tid_s, pos_s, key=len)), scanner.line(at))
                 raise _first_error(scanner, err, nxt) from None
-            act = acts.get(label)
-            if act is None:
+            code = spelled.get(label)
+            if code is None:
                 try:
-                    act = acts[label] = Activity(_unescape(label) if label[0] == '"' else label)
+                    name = _unescape(label) if label[0] == '"' else label
+                    code = spelled[label] = _code(codes, name)
                 except ValueError as exc:
                     err = IngestError(str(exc), scanner.line(at))
                     raise _first_error(scanner, err, nxt) from None
@@ -242,7 +262,7 @@ def parse_factlog(text: str) -> EventLog:
             scanner.skip_ws()
             nxt = scanner.pos
             try:
-                tid, pos, act = _trace_fact(fact)
+                tid, pos, code = _trace_fact(fact, codes)
             except IngestError as exc:
                 raise _first_error(scanner, exc, nxt) from None
         slots = by_trace.get(tid)
@@ -251,19 +271,20 @@ def parse_factlog(text: str) -> EventLog:
         if pos in slots:
             err = IngestError(f"trace {tid} repeats position {pos}", scanner.line(at))
             raise _first_error(scanner, err, nxt)
-        slots[pos] = act
+        slots[pos] = code
         last[tid] = at
         at = nxt
-    traces = []
-    for tid in sorted(by_trace):
+    ids = sorted(by_trace)
+    runs = []
+    for tid in ids:
         slots = by_trace[tid]
-        events = tuple(map(slots.get, range(len(slots))))
+        events = list(map(slots.get, range(len(slots))))
         if None in events:
             raise IngestError(
                 f"trace {tid} is missing position {events.index(None)}", scanner.line(last[tid])
             )
-        traces.append(Trace(tid, events))
-    return EventLog(traces)
+        runs.append(events)
+    return EventLog.from_codes(ids, runs, codes)
 
 
 _BARE_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -280,19 +301,16 @@ def write_factlog(log: EventLog) -> str:
     """One trace/3 fact per line, trace ids then positions ascending.
 
     A trace with no events has no fact to carry it, so such logs are
-    refused rather than silently thinned.
+    refused rather than silently thinned. Each label is spelled once.
     """
+    coded = log.coded
+    names = [_fact_name(act.label) for act in coded.codes]
     out = []
-    names: dict[Activity, str] = {}
-    for trace in sorted(log.traces, key=lambda tr: tr.id):
-        if not trace.events:
-            raise IngestError(f"trace {trace.id} has no events; fact form cannot hold it")
-        for pos, act in enumerate(trace.events):
-            name = names.get(act)
-            if name is None:
-                name = names[act] = _fact_name(act.label)
-            out.append(f"trace({trace.id},{pos},{name}).")
-    return "\n".join(out) + ("\n" if out else "")
+    for tid, events in sorted(zip(log.trace_ids, coded.strings)):  # ids are unique
+        if not events:
+            raise IngestError(f"trace {tid} has no events; fact form cannot hold it")
+        out += [f"trace({tid},{pos},{names[ord(c)]}).\n" for pos, c in enumerate(events)]
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -479,22 +497,12 @@ _XES_LABEL = 'value="([^"<>]*)"'
 _XES_UNREAD = r"[&\x00-\x1f\ufffe\uffff]"
 
 
-def _xes_activity(value: str) -> Activity | None:
-    """The activity a concept:name value names, or None when the value
-    holds an escape or a character in _XES_UNREAD, or Activity refuses it."""
-    if re.search(_XES_UNREAD, value):
-        return None
-    try:
-        return Activity(value)
-    except ValueError:
-        return None
-
-
 def _parse_xes_written(data: bytes) -> EventLog | None:
     """The log of a document in write_xes's exact layout, read with one
     regex match per trace and one findall for its labels; None for any
-    other document, for bytes that are not UTF-8, and for a label that
-    _xes_activity does not vouch for."""
+    other document, for bytes that are not UTF-8, and for a value that
+    holds an escape or a character in _XES_UNREAD, or that Activity
+    refuses."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -502,8 +510,8 @@ def _parse_xes_written(data: bytes) -> EventLog | None:
     if not (text.startswith(_XES_HEAD) and text.endswith(_XES_TAIL)):
         return None
     match, labels = re.compile(_XES_TRACE).match, re.compile(_XES_LABEL).findall
-    acts: dict[str, Activity] = {}  # value as written -> its activity
-    traces = []
+    codes: dict[str, int] = {}  # label, written as it is -> its code
+    runs = []
     at, end = len(_XES_HEAD), len(text) - len(_XES_TAIL)
     while at < end:
         m = match(text, at, end)
@@ -511,21 +519,21 @@ def _parse_xes_written(data: bytes) -> EventLog | None:
             return None
         at = m.end()
         values = labels(m.group(1))
-        events = tuple(map(acts.get, values))
-        if None in events:
-            for value in values:
-                if value not in acts:
-                    act = _xes_activity(value)
-                    if act is None:
-                        return None
-                    acts[value] = act
-            events = tuple(map(acts.__getitem__, values))
-        traces.append(Trace(len(traces), events))
-    return EventLog(traces)
+        try:
+            runs.append(list(map(codes.__getitem__, values)))
+        except KeyError:
+            if re.search(_XES_UNREAD, "".join(values)):
+                return None
+            try:
+                runs.append([_code(codes, value) for value in values])
+            except ValueError:
+                return None
+    return EventLog.from_codes(range(len(runs)), runs, codes)
 
 
 def _parse_xes_tree(data: bytes) -> EventLog:
-    """The log of any XES document, read through ElementTree."""
+    """The log of any XES document, read through ElementTree, its labels
+    coded as they are met."""
     from xml.etree import ElementTree  # imported here: only XES documents need it
 
     try:
@@ -535,11 +543,12 @@ def _parse_xes_tree(data: bytes) -> EventLog:
     if _local(root.tag) != "log":
         raise IngestError(f"expected a <log> root element, found <{_local(root.tag)}>")
 
-    traces = []
-    tid = 0
+    codes: dict[str, int] = {}  # label -> its code
+    runs = []
     for child in root:
         if _local(child.tag) != "trace":
             continue
+        tid = len(runs)
         events = []
         for idx, node in enumerate(el for el in child if _local(el.tag) == "event"):
             label = None
@@ -550,36 +559,34 @@ def _parse_xes_tree(data: bytes) -> EventLog:
             if label is None:
                 raise IngestError(f"trace {tid} event {idx} has no concept:name")
             try:
-                events.append(Activity(label))
+                events.append(_code(codes, label))
             except ValueError as exc:
                 raise IngestError(f"trace {tid} event {idx}: {exc}") from None
-        traces.append(Trace(tid, tuple(events)))
-        tid += 1
-    return EventLog(traces)
+        runs.append(events)
+    return EventLog.from_codes(range(len(runs)), runs, codes)
+
+
+def _xes_event(label: str) -> str:
+    """The <event> element of an event of `label`, as write_xes lays it out."""
+    # Raw whitespace in an attribute value would be read back as a space.
+    value = (
+        label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        .replace('"', "&quot;").replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
+    )
+    return f'    <event>\n      <string key="concept:name" value="{value}"/>\n    </event>\n'
 
 
 def write_xes(log: EventLog) -> str:
-    def esc(s: str) -> str:
-        # Raw whitespace in an attribute value would be read back as a space.
-        return (
-            s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-            .replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
-        )
-
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">',
-    ]
-    for trace in log.traces:
-        out.append("  <trace>")
-        out.append(f'    <string key="concept:name" value="{trace.id}"/>')
-        for act in trace.events:
-            out.append("    <event>")
-            out.append(f'      <string key="concept:name" value="{esc(act.label)}"/>')
-            out.append("    </event>")
-        out.append("  </trace>")
-    out.append("</log>")
-    return "\n".join(out) + "\n"
+    """Traces in log order, each named by its id; a trace's events are
+    written by one str.translate of its codes into their <event> elements."""
+    coded = log.coded
+    events = [_xes_event(act.label) for act in coded.codes]
+    out = [_XES_HEAD]
+    for tid, codes in zip(log.trace_ids, coded.strings):
+        head = f'  <trace>\n    <string key="concept:name" value="{tid}"/>\n'
+        out += (head, codes.translate(events), "  </trace>\n")
+    out.append(_XES_TAIL)
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -652,8 +659,7 @@ def _parse_csv_chunks(text: str) -> EventLog | None:
     line end after each line, so the fields of column j are every step-th
     field from the j-th. Labels are coded in order of first occurrence,
     and each run of rows of one case appends its codes to that case's at
-    once. The log keeps the label table and one buffer of codes: it
-    builds no trace.
+    once (`EventLog.from_codes`).
     """
     limit = csv.field_size_limit()
     nl = text.find("\n")
@@ -690,13 +696,11 @@ def _parse_csv_chunks(text: str) -> EventLog | None:
         try:
             events = list(map(codes.__getitem__, labels))
         except KeyError:  # labels not seen before, coded in order of first occurrence
-            for label in dict.fromkeys(labels):
-                if label not in codes:
-                    try:
-                        Activity(label)
-                    except ValueError:
-                        return None
-                    codes[label] = len(codes)
+            try:
+                for label in dict.fromkeys(labels):
+                    _code(codes, label)
+            except ValueError:
+                return None
             events = list(map(codes.__getitem__, labels))
         column = fields[2::step]
         s = 0
@@ -721,26 +725,19 @@ def _parse_csv_chunks(text: str) -> EventLog | None:
         return None
     if len(set(tids)) != len(tids) or min(tids, default=0) < 0:
         return None
-    order = sorted(range(len(tids)), key=tids.__getitem__)
-    runs = list(cases.values())
-    stop = len(codes) + 1  # the code that ends a trace
-    buffer: list[int] = []
-    for i in order:
-        buffer += runs[i]
-        buffer.append(stop)
-    table = dict(zip(map(Activity, codes), codes.values()))
-    coded = CodedLog(table, code_buffer(buffer, stop), [len(runs[i]) for i in order])
-    return EventLog.from_coded(tuple(map(tids.__getitem__, order)), coded)
+    return EventLog.from_codes(tids, list(cases.values()), codes)
 
 
 def _parse_csv_rows(text: str) -> EventLog:
-    """The log of any CSV document, read row by row by csv.reader. Of
-    several faults, the one on the earliest line is reported."""
+    """The log of any CSV document, read row by row by csv.reader, its
+    labels coded as they are met. Of several faults, the one on the
+    earliest line is reported."""
     buffer = io.StringIO(text, newline="")
     if text.startswith(_BOM):
         buffer.read(1)
     reader = csv.reader(buffer)
-    cases: dict[str, list] = {}  # case id -> activities, or (position, activity)
+    cases: dict[str, list] = {}  # case id -> codes, or (position, code)
+    codes: dict[str, int] = {}  # label -> its code
     first_lines: dict[str, int] = {}  # case id -> the line of its first row
     faults: list[IngestError] = []
     with_pos = False
@@ -752,7 +749,6 @@ def _parse_csv_rows(text: str) -> EventLog:
             raise IngestError("CSV header must start with case_id,activity", 1)
         with_pos = len(header) >= 3 and header[2] == "position"
         expected = len(header)
-        acts: dict[str, Activity] = {}
         # A quoted field may span lines: a row starts on the line after the
         # last line of the row before it.
         end = reader.line_num
@@ -766,23 +762,21 @@ def _parse_csv_rows(text: str) -> EventLog:
             case, label = row[0], row[1]
             if not case:
                 raise IngestError("empty case id", line)
-            act = acts.get(label)
-            if act is None:
-                try:
-                    act = acts[label] = Activity(label)
-                except ValueError as exc:
-                    raise IngestError(str(exc), line) from None
+            try:
+                code = _code(codes, label)
+            except ValueError as exc:
+                raise IngestError(str(exc), line) from None
             entries = cases.get(case)
             if entries is None:
                 entries = cases[case] = []
                 first_lines[case] = line
             if with_pos:
                 try:
-                    entries.append((int(row[2]), act))
+                    entries.append((int(row[2]), code))
                 except ValueError:
                     raise IngestError(f"bad position {row[2]!r}", line) from None
             else:
-                entries.append(act)
+                entries.append(code)
     except csv.Error as exc:
         faults.append(IngestError(f"malformed CSV: {exc}", reader.line_num))
     except IngestError as exc:
@@ -810,19 +804,17 @@ def _parse_csv_rows(text: str) -> EventLog:
                 break
             seen.add(tid)
 
-    traces = []
-    for tid, (case, entries) in zip(ids, cases.items()):
-        if with_pos:
+    runs = list(cases.values())
+    if with_pos:
+        for i, entries in enumerate(runs):
             if len({pos for pos, _ in entries}) != len(entries):
                 faults.append(_repeated_position(text))
                 break
             entries.sort()  # positions are unique, so they alone decide the order
-            entries = [act for _, act in entries]
-        traces.append(Trace(tid, tuple(entries)))
+            runs[i] = [code for _, code in entries]
     if faults:
         raise min(faults, key=lambda exc: exc.line or 0)
-    traces.sort(key=lambda tr: tr.id)
-    return EventLog(traces)
+    return EventLog.from_codes(ids, runs, codes)
 
 
 def _repeated_position(text: str) -> IngestError:
@@ -843,26 +835,30 @@ def _repeated_position(text: str) -> IngestError:
     raise AssertionError("no row repeats a position")
 
 
+def _csv_row(label: str) -> str:
+    """The row csv.writer writes for an event of `label`, as a format
+    string of its case id and position. The writer quotes a line feed but
+    not a lone carriage return, which readers take for a line end, so the
+    row of a label that holds one has every field quoted."""
+    buf = io.StringIO()
+    quoting = csv.QUOTE_ALL if "\r" in label else csv.QUOTE_MINIMAL
+    # csv.writer leaves braces as they are; str.format reads them doubled.
+    braced = label.replace("{", "{{").replace("}", "}}")
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(("{0}", braced, "{1}"))
+    return buf.getvalue()
+
+
 def write_csv(log: EventLog) -> str:
     """One row per event, case_id,activity,position, traces in log order;
-    each trace is written by one writerows call unless a label of the log
-    holds a carriage return."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    # The writer quotes "\n" but not a lone "\r", which readers take for a line end.
-    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(["case_id", "activity", "position"])
-    plain = not any("\r" in act.label for act in log.alphabet)
-    for trace in log.traces:
-        if not trace.events:
-            raise IngestError(f"trace {trace.id} has no events; row form cannot hold it")
-        rows = zip(repeat(trace.id), map(operator.attrgetter("label"), trace.events), count())
-        if plain:
-            writer.writerows(rows)
-        else:
-            for row in rows:
-                (quote_all if "\r" in row[1] else writer).writerow(row)
-    return buf.getvalue()
+    each label is spelled once."""
+    coded = log.coded
+    rows = [_csv_row(act.label) for act in coded.codes]
+    out = ["case_id,activity,position\n"]
+    for tid, events in zip(log.trace_ids, coded.strings):
+        if not events:
+            raise IngestError(f"trace {tid} has no events; row form cannot hold it")
+        out += map(str.format, map(rows.__getitem__, map(ord, events)), repeat(tid), count())
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -1026,10 +1022,10 @@ _LOG_FORMATS = (
 
 
 def _log_format(path):
-    """The (reader, read, writer) of a log path, chosen by suffix."""
+    """The (suffix, reader, read, writer) of a log path, chosen by suffix."""
     name = Path(path).name
-    for suffix, *fmt in _LOG_FORMATS:
-        if name.endswith(suffix):
+    for fmt in _LOG_FORMATS:
+        if name.endswith(fmt[0]):
             return fmt
     raise IngestError(
         f"cannot infer log format from suffix of {name!r}; "
@@ -1039,12 +1035,12 @@ def _log_format(path):
 
 def load_log(path) -> EventLog:
     """Read a log by extension: .xes, .xes.gz, .lp (facts), or .csv."""
-    parse, read, _ = _log_format(path)
+    _, parse, read, _ = _log_format(path)
     return _parse_file(path, parse, read)
 
 
 def save_log(log: EventLog, path) -> None:
-    _, _, write = _log_format(path)
+    *_, write = _log_format(path)
     _write_text(path, write(log))
 
 

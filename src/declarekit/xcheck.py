@@ -15,7 +15,6 @@ import random
 from typing import Iterator, Mapping
 
 from .core import Activity, Constraint, EventLog, Record, TemplateKind, Trace, code_events
-from .ingest import write_factlog
 from .tasks import Backend, _check_coded
 
 ALL_KINDS: tuple[TemplateKind, ...] = tuple(TemplateKind)
@@ -63,6 +62,7 @@ def _compare(sweep: Iterator[tuple[Activity, ...]]) -> list[Disagreement]:
             if len(set(verdicts)) > 1
         )
         for i, k in split:
+            from .ingest import write_factlog  # loaded here: only disagreements need it
             d, t, f = (column[i] == 1 for column in columns[k])
             out.append(
                 Disagreement(

@@ -8,10 +8,15 @@ established by brute-force word distinguishability.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import operator
 from fractions import Fraction
+from xml.etree import ElementTree
 
-from declarekit.core import Activity, Trace
+from declarekit.core import Activity, EventLog, Trace
+from declarekit.ingest import IngestError, _FactScanner, _as_activity, _as_int, _fact_name
 from declarekit.ltlf import (
     And,
     Atom,
@@ -183,3 +188,126 @@ def assert_minimal(dfa) -> None:
     assert seen == set(range(dfa.n_states)), "unreachable states present"
     vectors = {acceptance_vector(dfa, s, dfa.n_states) for s in range(dfa.n_states)}
     assert len(vectors) == dfa.n_states, "equivalent states present"
+
+
+# --------------------------------------------------------------------------
+# Log documents, read and written a trace and an event at a time
+
+def reference_parse_factlog(text: str) -> EventLog:
+    """The token-by-token reader the regex fast path replaced, kept as the
+    oracle: the scanner reads every fact, then each is checked in order."""
+    by_trace: dict[int, dict[int, Activity]] = {}
+    lines: dict[int, int] = {}
+    for fact in _FactScanner(text).facts():
+        if fact.name != "trace" or len(fact.args) != 3:
+            raise IngestError(
+                f"expected trace/3 facts, found {fact.name}/{len(fact.args)}", fact.line
+            )
+        tid = _as_int(fact.args[0], fact.line)
+        pos = _as_int(fact.args[1], fact.line)
+        act = _as_activity(fact.args[2], fact.line)
+        if tid < 0 or pos < 0:
+            raise IngestError("trace id and position must be non-negative", fact.line)
+        slots = by_trace.setdefault(tid, {})
+        if pos in slots:
+            raise IngestError(f"trace {tid} repeats position {pos}", fact.line)
+        slots[pos] = act
+        lines[tid] = fact.line
+    traces = []
+    for tid in sorted(by_trace):
+        slots = by_trace[tid]
+        missing = [p for p in range(len(slots)) if p not in slots]
+        if missing:
+            raise IngestError(f"trace {tid} is missing position {missing[0]}", lines[tid])
+        traces.append(Trace(tid, tuple(slots[p] for p in range(len(slots)))))
+    return EventLog(traces)
+
+
+def reference_write_factlog(log: EventLog) -> str:
+    """write_factlog as it walked traces: one fact per event, by id."""
+    out = []
+    for trace in sorted(log.traces, key=lambda tr: tr.id):
+        if not trace.events:
+            raise IngestError(f"trace {trace.id} has no events; fact form cannot hold it")
+        for pos, act in enumerate(trace.events):
+            out.append(f"trace({trace.id},{pos},{_fact_name(act.label)}).")
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def reference_write_xes(log: EventLog) -> str:
+    """write_xes as it walked traces: each event's label escaped in turn."""
+    def esc(s: str) -> str:
+        return (
+            s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+            .replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
+        )
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">',
+    ]
+    for trace in log.traces:
+        out.append("  <trace>")
+        out.append(f'    <string key="concept:name" value="{trace.id}"/>')
+        for act in trace.events:
+            out.append("    <event>")
+            out.append(f'      <string key="concept:name" value="{esc(act.label)}"/>')
+            out.append("    </event>")
+        out.append("  </trace>")
+    out.append("</log>")
+    return "\n".join(out) + "\n"
+
+
+def reference_write_csv(log: EventLog) -> str:
+    """write_csv as it walked traces: csv.writer spells every row, quoting
+    every field of a row whose label holds a carriage return."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quote_all = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(["case_id", "activity", "position"])
+    for trace in log.traces:
+        if not trace.events:
+            raise IngestError(f"trace {trace.id} has no events; row form cannot hold it")
+        for row in zip(itertools.repeat(trace.id), map(operator.attrgetter("label"), trace.events),
+                       itertools.count()):
+            (quote_all if "\r" in row[1] else writer).writerow(row)
+    return buf.getvalue()
+
+
+def reference_parse_xes(data: bytes) -> EventLog:
+    """A well-formed XES document's traces in document order, numbered
+    0, 1, ..., each event named by its concept:name string."""
+    def local(tag: str) -> str:
+        return tag.rsplit("}", 1)[-1]
+
+    traces = []
+    for child in ElementTree.fromstring(data):
+        if local(child.tag) == "trace":
+            labels = [
+                next(a.get("value") for a in event
+                     if local(a.tag) == "string" and a.get("key") == "concept:name")
+                for event in child if local(event.tag) == "event"
+            ]
+            traces.append(Trace.from_labels(len(traces), labels))
+    return EventLog(traces)
+
+
+def reference_parse_csv(text: str) -> EventLog:
+    """A well-formed CSV log's cases ordered by id: case ids that are all
+    non-negative integers kept, else numbered in order of first appearance; events by position, or
+    in row order when there is no position column."""
+    header, *rows = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    with_pos = header[2:3] == ["position"]
+    cases: dict[str, list[tuple[int, str]]] = {}
+    for row in filter(None, rows):
+        events = cases.setdefault(row[0], [])
+        events.append((int(row[2]) if with_pos else len(events), row[1]))
+    try:
+        ids = [int(case) for case in cases]
+    except ValueError:
+        ids = [-1]
+    if min(ids, default=0) < 0:
+        ids = list(range(len(cases)))
+    traces = [Trace.from_labels(tid, [label for _, label in sorted(events)])
+              for tid, events in zip(ids, cases.values())]
+    return EventLog(sorted(traces, key=lambda tr: tr.id))

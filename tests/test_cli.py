@@ -414,6 +414,21 @@ def test_generate_writes_the_format_its_suffix_names(workdir):
     assert not (workdir / "bad.labels.csv").exists()
 
 
+def test_generate_writes_labels_beside_the_log_without_its_suffix(workdir):
+    """The label file of <stem>.lp, .csv, .xes or .xes.gz is <stem>.labels.csv."""
+    generate = ("generate", "--template", "Response", "--n", "4", "--len", "5",
+                "--alphabet", "4", "--seed", "3", "--out")
+    manifests = set()
+    for suffix in ("lp", "csv", "xes", "xes.gz"):
+        stem = "g_" + suffix.replace(".", "_")
+        out = run_cli(*generate, f"{stem}.{suffix}", cwd=workdir)
+        assert out.returncode == 0, (suffix, out.stderr)
+        assert out.stdout.endswith(f"(labels in {stem}.labels.csv)\n"), suffix
+        manifests.add((workdir / f"{stem}.labels.csv").read_text(encoding="utf-8"))
+    assert manifests == {"trace_id,label\n0,positive\n1,positive\n2,negative\n3,negative\n"}
+    assert not list(workdir.glob("*.xes.labels.csv"))
+
+
 def test_convert_round_trip(workdir):
     assert run_cli("convert", "--in", "log.lp", "--out", "log.xes", cwd=workdir).returncode == 0
     assert run_cli("convert", "--in", "log.xes", "--out", "back.lp", cwd=workdir).returncode == 0
@@ -615,12 +630,14 @@ def test_check_imports_only_what_it_runs(workdir):
          ("declarekit.ingest", "declarekit.tasks", "declarekit.direct")),
         (["convert", "--in", "log.xes", "--out", "log.csv"],
          ("xml.etree.ElementTree", "gzip", "declarekit.tasks")),
+        (["validate", "--max-len", "3"], ("declarekit.ingest",)),
     ],
-    ids=["convert", "compile", "convert_xes"],
+    ids=["convert", "compile", "convert_xes", "validate"],
 )
 def test_commands_import_only_what_they_run(workdir, argv, absent):
     """A command loads only the modules it runs; write_xes's own layout
-    is read without the XML parser, and a plain .xes without gzip."""
+    is read without the XML parser, and a plain .xes without gzip; a
+    validate that finds no disagreement writes no fact log."""
     from declarekit import load_log, save_log
 
     save_log(load_log(workdir / "log.lp"), workdir / "log.xes")

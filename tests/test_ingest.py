@@ -43,6 +43,7 @@ from declarekit import (
     write_report,
     write_xes,
 )
+from oracles import reference_parse_factlog
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -195,36 +196,6 @@ def test_parse_factlog_reads_canonical_facts_without_the_scanner(monkeypatch):
     assert parse_factlog(text) == log
 
 
-def _reference_parse_factlog(text: str) -> EventLog:
-    """The token-by-token reader the regex fast path replaced, kept as the
-    oracle: the scanner reads every fact, then each is checked in order."""
-    by_trace: dict[int, dict[int, Activity]] = {}
-    lines: dict[int, int] = {}
-    for fact in ingest._FactScanner(text).facts():
-        if fact.name != "trace" or len(fact.args) != 3:
-            raise IngestError(
-                f"expected trace/3 facts, found {fact.name}/{len(fact.args)}", fact.line
-            )
-        tid = ingest._as_int(fact.args[0], fact.line)
-        pos = ingest._as_int(fact.args[1], fact.line)
-        act = ingest._as_activity(fact.args[2], fact.line)
-        if tid < 0 or pos < 0:
-            raise IngestError("trace id and position must be non-negative", fact.line)
-        slots = by_trace.setdefault(tid, {})
-        if pos in slots:
-            raise IngestError(f"trace {tid} repeats position {pos}", fact.line)
-        slots[pos] = act
-        lines[tid] = fact.line
-    traces = []
-    for tid in sorted(by_trace):
-        slots = by_trace[tid]
-        missing = [p for p in range(len(slots)) if p not in slots]
-        if missing:
-            raise IngestError(f"trace {tid} is missing position {missing[0]}", lines[tid])
-        traces.append(Trace(tid, tuple(slots[p] for p in range(len(slots)))))
-    return EventLog(traces)
-
-
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -297,7 +268,7 @@ def _outcome(parse, text: str):
 @example(text='trace(-1,0,a).\r\ntrace(0,0,"\\").')  # the later syntax error wins
 @example(text='trace(0,0,a).\rtrace(0,0,"b").\r')
 def test_parse_factlog_matches_the_token_reader(text):
-    assert _outcome(parse_factlog, text) == _outcome(_reference_parse_factlog, text)
+    assert _outcome(parse_factlog, text) == _outcome(reference_parse_factlog, text)
 
 
 # --------------------------------------------------------------------------
