@@ -394,3 +394,22 @@ class DeclareModel:
 
     def __repr__(self) -> str:
         return f"DeclareModel({len(self._constraints)} constraints)"
+
+
+def json_string(text: str) -> str:
+    """`text` as a JSON string, escaped as json.dumps escapes it by
+    default (ensure_ascii). Printable ASCII needs only its quotes and
+    backslashes escaped, so `json` loads only for any other text."""
+    if text.isascii() and text.isprintable():
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+def json_block(brackets: str, items: list[str], indent: str) -> str:
+    """Rendered, indented items between `brackets`, laid out as
+    json.dumps(..., indent=2) lays out a container at depth `indent`."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]

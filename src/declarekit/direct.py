@@ -276,77 +276,117 @@ def check_direct(constraint: Constraint, trace: Trace) -> DirectVerdict:
 
 # --------------------------------------------------------------------------
 # Whole logs
+#
+# A verdict column is a big integer with one byte per trace, 1 where the
+# constraint holds and 0 where it fails, so `| & ^` combine columns bytewise.
 
-def _has(traces, x):
-    """Per trace, whether character x occurs in it."""
-    return map(operator.contains, traces, repeat(x))
-
-
-def _lacks(traces, x):
-    return map(operator.not_, _has(traces, x))
-
-
-def _log_response(traces, a, b):
-    """No activation after the last target."""
-    return _lacks(map(operator.itemgetter(2), map(str.rpartition, traces, repeat(b))), a)
+def _occurs(strings, x: str) -> int:
+    """The column of whether character x occurs in each string."""
+    return int.from_bytes(bytes(map(operator.contains, strings, repeat(x))), "big")
 
 
-def _log_precedence(traces, a, b):
-    """No target before the first activation."""
-    return _lacks(map(operator.itemgetter(0), map(str.partition, traces, repeat(a))), b)
+def _memo(primitive):
+    """Compute a primitive once per argument tuple within one scan."""
+    def column(scan, *args):
+        key = (primitive, *args)
+        found = scan.memo.get(key)
+        if found is None:
+            found = scan.memo[key] = primitive(scan, *args)
+        return found
+    return column
 
 
-def _unchained(traces, a, b):
-    """Each trace with every activation-target pair deleted."""
-    return map(str.replace, traces, repeat(a + b), repeat(""))
+class _Scan:
+    """The primitive verdict columns of one coded log, each computed on
+    first use and kept for the rest of one `scan_log` call: whether each
+    code occurs, and per (activation, target) pair Response, Precedence
+    and the two halves of Chain Succession, over the traces and over the
+    traces with every other code deleted."""
 
+    def __init__(self, coded: CodedLog) -> None:
+        self.coded = coded
+        self.traces = coded.strings
+        self.ones = int.from_bytes(b"\1" * len(coded.lengths), "big")
+        self.memo: dict[tuple, object] = {}
 
-def _log_chain_response(traces, a, b):
-    return _lacks(_unchained(traces, a, b), a)
+    @_memo
+    def has(self, x: str) -> int:
+        return _occurs(self.traces, x)
 
+    def lacks(self, x: str) -> int:
+        return self.ones ^ self.has(x)
 
-def _log_chain_precedence(traces, a, b):
-    return _lacks(_unchained(traces, a, b), b)
+    @_memo
+    def response(self, a: str, b: str) -> int:
+        """No activation after the last target."""
+        after = map(operator.itemgetter(2), map(str.rpartition, self.traces, repeat(b)))
+        return self.ones ^ _occurs(after, a)
 
+    @_memo
+    def precedence(self, a: str, b: str) -> int:
+        """No target before the first activation."""
+        before = map(operator.itemgetter(0), map(str.partition, self.traces, repeat(a)))
+        return self.ones ^ _occurs(before, b)
 
-def _log_chain_succession(traces, a, b):
-    rest = list(_unchained(traces, a, b))
-    return map(operator.and_, _lacks(rest, a), _lacks(rest, b))
+    @_memo
+    def unchained(self, a: str, b: str, alternate: bool) -> list[str]:
+        """Each trace with every activation-target pair deleted; with
+        `alternate`, every code other than a and b is deleted first."""
+        coded = self.coded
+        end = len(coded.codes) + 1
+        text = coded.text
+        if alternate:
+            others = [c for c in range(end) if c != ord(a) and c != ord(b)]
+            if isinstance(coded.events, bytes):
+                text = coded.events.translate(None, bytes(others)).decode("latin-1")
+            else:
+                text = text.translate(dict.fromkeys(others))
+        # A pair never straddles two traces: the end code is neither a nor b.
+        return text.replace(a + b, "").split(chr(end))[:-1]
+
+    @_memo
+    def chain_response(self, a: str, b: str, alternate: bool) -> int:
+        return self.ones ^ _occurs(self.unchained(a, b, alternate), a)
+
+    @_memo
+    def chain_precedence(self, a: str, b: str, alternate: bool) -> int:
+        return self.ones ^ _occurs(self.unchained(a, b, alternate), b)
 
 
 # Each kind's rule for an activation character a and a different target
-# character b: (traces, a, b) -> per trace, whether the constraint holds.
-# On the empty string only Choice and Exclusive Choice fail.
+# character b: (scan, a, b) -> its verdict column. On the empty string
+# only Choice and Exclusive Choice fail. The Alternate kinds are the
+# Chain rules on the traces with every character other than a and b
+# deleted.
 _LOG_RULES = {
-    _K.CHOICE: lambda t, a, b: map(operator.or_, _has(t, a), _has(t, b)),
-    _K.EXCLUSIVE_CHOICE: lambda t, a, b: map(operator.ne, _has(t, a), _has(t, b)),
-    _K.RESPONDED_EXISTENCE: lambda t, a, b: map(operator.le, _has(t, a), _has(t, b)),
-    _K.COEXISTENCE: lambda t, a, b: map(operator.eq, _has(t, a), _has(t, b)),
-    _K.RESPONSE: _log_response,
-    _K.PRECEDENCE: _log_precedence,
-    _K.SUCCESSION: lambda t, a, b: map(
-        operator.and_, _log_response(t, a, b), _log_precedence(t, a, b)
+    _K.CHOICE: lambda s, a, b: s.has(a) | s.has(b),
+    _K.EXCLUSIVE_CHOICE: lambda s, a, b: s.has(a) ^ s.has(b),
+    _K.RESPONDED_EXISTENCE: lambda s, a, b: s.lacks(a) | s.has(b),
+    _K.COEXISTENCE: lambda s, a, b: s.lacks(a) ^ s.has(b),
+    _K.RESPONSE: lambda s, a, b: s.response(a, b),
+    _K.PRECEDENCE: lambda s, a, b: s.precedence(a, b),
+    _K.SUCCESSION: lambda s, a, b: s.response(a, b) & s.precedence(a, b),
+    _K.CHAIN_RESPONSE: lambda s, a, b: s.chain_response(a, b, False),
+    _K.CHAIN_PRECEDENCE: lambda s, a, b: s.chain_precedence(a, b, False),
+    _K.CHAIN_SUCCESSION: lambda s, a, b: (
+        s.chain_response(a, b, False) & s.chain_precedence(a, b, False)
     ),
-    _K.CHAIN_RESPONSE: _log_chain_response,
-    _K.CHAIN_PRECEDENCE: _log_chain_precedence,
-    _K.CHAIN_SUCCESSION: _log_chain_succession,
-    # The Alternate kinds are the Chain rules on the traces with every
-    # character other than a and b deleted.
-    _K.ALTERNATE_RESPONSE: _log_chain_response,
-    _K.ALTERNATE_PRECEDENCE: _log_chain_precedence,
-    _K.ALTERNATE_SUCCESSION: _log_chain_succession,
+    _K.ALTERNATE_RESPONSE: lambda s, a, b: s.chain_response(a, b, True),
+    _K.ALTERNATE_PRECEDENCE: lambda s, a, b: s.chain_precedence(a, b, True),
+    _K.ALTERNATE_SUCCESSION: lambda s, a, b: (
+        s.chain_response(a, b, True) & s.chain_precedence(a, b, True)
+    ),
 }
-_ALTERNATE = frozenset((_K.ALTERNATE_RESPONSE, _K.ALTERNATE_PRECEDENCE, _K.ALTERNATE_SUCCESSION))
 
 # With activation equal to target, the strict reading depends only on
 # whether the activity occurs; kinds not listed hold when it does not.
 _SAME_RULES = {
-    _K.PRECEDENCE: lambda t, a: repeat(1, len(t)),
-    _K.ALTERNATE_PRECEDENCE: lambda t, a: repeat(1, len(t)),
-    _K.RESPONDED_EXISTENCE: lambda t, a: repeat(1, len(t)),
-    _K.COEXISTENCE: lambda t, a: repeat(1, len(t)),
-    _K.EXCLUSIVE_CHOICE: lambda t, a: repeat(0, len(t)),
-    _K.CHOICE: _has,
+    _K.PRECEDENCE: lambda s, a: s.ones,
+    _K.ALTERNATE_PRECEDENCE: lambda s, a: s.ones,
+    _K.RESPONDED_EXISTENCE: lambda s, a: s.ones,
+    _K.COEXISTENCE: lambda s, a: s.ones,
+    _K.EXCLUSIVE_CHOICE: lambda s, a: 0,
+    _K.CHOICE: lambda s, a: s.has(a),
 }
 
 
@@ -356,26 +396,21 @@ def scan_log(constraints: Sequence[Constraint], coded: CodedLog) -> list[bytearr
 
     Every activity the constraints name must be among the coded ones.
     `verdicts[j][i]` is 1 when constraints[j] holds on trace i and 0
-    otherwise. Each rule runs over `coded.strings` as a few maps of
-    string operations, and the Alternate kinds delete the other codes
-    once per (activation, target) pair.
+    otherwise. Each primitive (whether a code occurs, and per
+    (activation, target) pair Response, Precedence and the chain halves,
+    over the traces and over the Alternate kinds' kept traces) is one
+    map of string operations over `coded.strings` or one pass over
+    `coded.text`, computed once per call; each kind combines those
+    columns as big integers with `| & ^`.
     """
-    traces = coded.strings
-    kept: dict[tuple[str, str], list[str]] = {}
+    scan = _Scan(coded)
+    n = len(coded.lengths)
     verdicts = []
     for c in constraints:
         a, b = chr(coded.codes[c.activation]), chr(coded.codes[c.target])
         if a == b:
-            holds = _SAME_RULES.get(c.kind, _lacks)(traces, a)
-        elif c.kind in _ALTERNATE:
-            pair = kept.get((a, b))
-            if pair is None:
-                others = dict.fromkeys(range(len(coded.codes) + 1))
-                del others[ord(a)], others[ord(b)]
-                end = chr(len(coded.codes) + 1)
-                pair = kept[a, b] = coded.text.translate(others).split(end)[:-1]
-            holds = _LOG_RULES[c.kind](pair, a, b)
+            column = _SAME_RULES.get(c.kind, _Scan.lacks)(scan, a)
         else:
-            holds = _LOG_RULES[c.kind](traces, a, b)
-        verdicts.append(bytearray(holds))
+            column = _LOG_RULES[c.kind](scan, a, b)
+        verdicts.append(bytearray(column.to_bytes(n, "big")))
     return verdicts

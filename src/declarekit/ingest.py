@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 import os
 import re
@@ -22,9 +23,11 @@ from itertools import count, groupby, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .core import Activity, Constraint, DeclareModel, EventLog, Record, TemplateKind
+from .core import (
+    Activity, Constraint, DeclareModel, EventLog, Record, TemplateKind, json_block, json_string,
+)
 
-if TYPE_CHECKING:  # tasks loads fractions; only queries need it, at run time
+if TYPE_CHECKING:  # only queries need tasks, at run time
     from .tasks import CheckReport, Query, Variable
 
 
@@ -623,7 +626,7 @@ def _parse_csv_text(text: str) -> EventLog:
 
 # Characters of text per chunk of _parse_csv_chunks, which also takes the
 # rest of the line that the chunk ends in.
-_CSV_CHUNK = 1 << 16
+_CSV_CHUNK = 1 << 14
 # Positions below this bound, spelled as write_csv spells them, are checked
 # by comparing lists of spellings; int() reads the rest.
 _SPELLED = [str(p) for p in range(1024)]
@@ -864,76 +867,79 @@ def write_csv(log: EventLog) -> str:
 # --------------------------------------------------------------------------
 # Reports
 
-def _fraction_str(fr) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+def _support_str(supports, cid: int) -> str:
+    """A support as "p/q" in lowest terms: from the verdict counts of a
+    `SupportView`, so that no Fraction is built, or from a Fraction."""
+    counts = getattr(supports, "counts", None)
+    if counts is None:
+        fr = supports[cid]
+        return f"{fr.numerator}/{fr.denominator}"
+    p, q = counts[cid], supports.n
+    if not q:
+        return "0/1"
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"
 
 
-def _json_block(brackets: str, items: list[str], indent: str) -> str:
-    """Rendered, indented items between `brackets`, laid out as
-    json.dumps(..., indent=2) lays out a container at depth `indent`."""
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
-
-
-def _report_rows(report: CheckReport) -> tuple[list[int], Iterable[tuple[int, tuple[int, ...]]]]:
+def _report_rows(report: CheckReport) -> tuple[list[int], Iterable[tuple[int, bytes]]]:
     """The constraint ids in ascending order, and per trace in ascending
     id order its id and its verdicts (1 or 0) in that constraint order.
 
-    The verdict columns are transposed once; a matrix that is not a view
+    The verdict columns are laid end to end once, in that order, and each
+    trace's row is one strided slice of them; a matrix that is not a view
     over columns is read into columns first.
     """
     tids, cids = report.trace_ids, report.constraint_ids
     columns = getattr(report.matrix, "columns", None)
     if columns is None:
-        columns = [bytes(report.matrix[tid, cid] for tid in tids) for cid in cids]
+        columns = [bytes([report.matrix[tid, cid] for tid in tids]) for cid in cids]
     order = sorted(range(len(cids)), key=cids.__getitem__)
-    rows = zip(tids, zip(*[columns[j] for j in order]) if order else repeat(()))
+    n = len(tids)
+    cells = b"".join([columns[j] for j in order])
+    rows = zip(tids, map(cells.__getitem__, map(slice, range(n), repeat(None), repeat(n))))
     if any(map(operator.gt, tids, tids[1:])):
         rows = sorted(rows)  # ids are unique, so they alone decide the order
     return [cids[j] for j in order], rows
 
 
-def _report_json(report: CheckReport, log_name: str, model_name: str) -> str:
+def _report_json(report: CheckReport, log_name: str, model_name: str) -> bytes:
     """The text json.dumps(doc, indent=2) gives for the report document,
-    and a line end.
+    and a line end, as ASCII bytes.
 
     Written directly, since that encoder runs in pure Python. Strings are
-    escaped as ensure_ascii escapes them; the two cells of each constraint
-    are rendered once, and so is each distinct row of verdicts, which the
-    rows share. The matrix rows are joined once, straight into the
-    document, so that no more than two copies of the matrix text are
-    alive at a time.
+    escaped as ensure_ascii escapes them (`json_string`); the two cells
+    of each constraint are rendered once, and so is each distinct row of
+    verdicts, which the rows share. The document is joined once from
+    those bytes, so the matrix text is copied once.
     """
-    from json.encoder import encode_basestring_ascii as enc  # only reports need it
-
+    enc = json_string
     cids, verdicts = _report_rows(report)
     pairs = [(f"      {enc(str(cid))}: false", f"      {enc(str(cid))}: true") for cid in cids]
-    blocks: dict[tuple[int, ...], str] = {}  # verdict row -> its rendered cells
-    parts = []
+    blocks: dict[bytes, bytes] = {}  # verdict row -> its rendered cells
+    rows = []
     for tid, bits in verdicts:
         block = blocks.get(bits)
         if block is None:
-            block = blocks[bits] = _json_block("{}", list(map(operator.getitem, pairs, bits)), "    ")
-        parts += (",\n", f"    {enc(str(tid))}: ", block)
-    rows = "".join(parts[1:])  # no separator before the first row
-    supports = [
-        f"    {enc(str(cid))}: {enc(_fraction_str(report.supports[cid]))}" for cid in cids
-    ]
+            cells = list(map(operator.getitem, pairs, bits))
+            block = blocks[bits] = json_block("{}", cells, "    ").encode("ascii")
+        rows += (b',\n    "%d": ' % tid, block)
+    if rows:
+        rows[0] = rows[0].removeprefix(b",\n")
+    supports = [f'    {enc(str(cid))}: "{_support_str(report.supports, cid)}"' for cid in cids]
     compliant = [f"    {t}" for t in sorted(report.compliant)]
-    return "".join((
-        "{\n",
-        f'  "log": {enc(log_name)},\n',
-        f'  "model": {enc(model_name)},\n',
-        f'  "backend": {enc(report.backend.value)},\n',
-        '  "matrix": ',
-        *(("{\n", rows, "\n  }") if rows else ("{}",)),
+    head = (
+        f'{{\n  "log": {enc(log_name)},\n  "model": {enc(model_name)},\n'
+        f'  "backend": {enc(report.backend.value)},\n  "matrix": '
+    )
+    tail = "".join((
         ',\n  "compliant": ',
-        _json_block("[]", compliant, "  "),
+        json_block("[]", compliant, "  "),
         ',\n  "supports": ',
-        _json_block("{}", supports, "  "),
+        json_block("{}", supports, "  "),
         "\n}\n",
     ))
+    matrix = (b"{\n", *rows, b"\n  }") if rows else (b"{}",)
+    return b"".join((head.encode("ascii"), *matrix, tail.encode("ascii")))
 
 
 def write_report(
@@ -950,7 +956,7 @@ def write_report(
     one row per trace plus a compliant column.
     """
     if format == "json":
-        return _report_json(report, log_name, model_name).encode("ascii")
+        return _report_json(report, log_name, model_name)
     if format == "csv":
         cids, verdicts = _report_rows(report)
         compliant = report.compliant

@@ -7,7 +7,9 @@ its verdicts from `check_log`, one call per log: the log's events, coded
 once as small integers, are mapped to the constraints' codes and every
 backend checks the whole log at a time.
 Verdicts stay in per-constraint columns up to the report, and supports
-are exact rationals over the number of traces.
+are exact rationals over the number of traces, built only when read:
+`fractions` loads on first use, so a `check` that writes its report
+never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import itertools
 import math
 import operator
 from enum import Enum
-from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .core import (
     Activity,
@@ -31,6 +32,9 @@ from .core import (
     Trace,
     code_events,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Backend(Enum):
@@ -140,13 +144,55 @@ class VerdictMatrix(Mapping[tuple[int, int], bool]):
         return VerdictMatrix, (self.trace_ids, self.constraint_ids, self.columns)
 
 
+class SupportView(Mapping[int, "Fraction"]):
+    """A read-only view of verdict counts as constraint id -> support.
+
+    `counts[cid]` of the log's `n` traces satisfy constraint cid; its
+    support is Fraction(counts[cid], n), or 0 on a log of no traces,
+    built on access. Keys run in the order of `counts`; the view equals,
+    prints as and copies to the dict of the same supports.
+    """
+
+    __slots__ = ("counts", "n")
+
+    def __init__(self, counts: dict[int, int], n: int):
+        self.counts = counts
+        self.n = n
+
+    def __getitem__(self, cid: int) -> Fraction:
+        from fractions import Fraction  # loaded here: only readers of a support need it
+
+        try:
+            count = self.counts[cid]
+        except TypeError:
+            raise KeyError(cid) from None
+        return Fraction(count, self.n) if self.n else Fraction(0)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.counts)
+
+    def __reduce__(self):
+        return SupportView, (self.counts, self.n)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def copy(self) -> dict[int, Fraction]:
+        """The supports as a dict, as `dict.copy` gives them."""
+        return dict(self)
+
+
 class CheckReport(Record):
     """Conformance result: per-(trace, constraint) verdicts plus rollups.
 
     `matrix` maps (trace id, constraint id) to satisfaction, as a
     `VerdictMatrix` from `conformance_check`; `compliant`
     holds ids of traces satisfying every constraint; `supports` maps each
-    constraint id to its exact satisfaction rate over the log.
+    constraint id to its exact satisfaction rate over the log, as a
+    `SupportView` over the verdict counts from `conformance_check`.
     """
 
     __slots__ = _fields = (
@@ -168,18 +214,15 @@ def conformance_check(
     """Check every trace against every constraint.
 
     One `check_log` call gives each constraint's verdict column on the
-    whole log; the matrix is a view over the columns, and the compliant
-    set and supports are read off them.
+    whole log; the matrix is a view over the columns, the supports a view
+    over their counts, and the compliant set is read off them.
     """
     ids = tuple(c.id for c in model.constraints)
     columns = check_log(log, model.constraints, backend)
     trace_ids = log.trace_ids
     n = len(trace_ids)
 
-    supports = {
-        cid: Fraction(column.count(1), n) if n else Fraction(0)
-        for cid, column in zip(ids, columns)
-    }
+    counts = {cid: column.count(1) for cid, column in zip(ids, columns)}
     compliant = itertools.compress(trace_ids, _every(columns, n).to_bytes(n, "big"))
     return CheckReport(
         backend=backend,
@@ -187,12 +230,14 @@ def conformance_check(
         constraint_ids=ids,
         matrix=VerdictMatrix(trace_ids, ids, columns),
         compliant=frozenset(compliant),
-        supports=supports,
+        supports=SupportView(counts, n),
     )
 
 
 def support(constraint: Constraint, log: EventLog, backend: Backend = Backend.DIRECT) -> Fraction:
     """Fraction of traces satisfying the constraint; undefined on empty logs."""
+    from fractions import Fraction
+
     if len(log) == 0:
         raise EmptyLogError("support is undefined on an empty log")
     (column,) = check_log(log, (constraint,), backend)
@@ -276,6 +321,8 @@ def query_check(
     at once. Answers come sorted by descending support, then by binding
     labels in variable-name order.
     """
+    from fractions import Fraction
+
     s = Fraction(threshold)
     if not (0 < s <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")

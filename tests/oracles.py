@@ -311,3 +311,101 @@ def reference_parse_csv(text: str) -> EventLog:
     traces = [Trace.from_labels(tid, [label for _, label in sorted(events)])
               for tid, events in zip(ids, cases.values())]
     return EventLog(sorted(traces, key=lambda tr: tr.id))
+
+
+# --------------------------------------------------------------------------
+# Whole-log kernels, one trace at a time
+
+def _has(traces, x):
+    return map(operator.contains, traces, itertools.repeat(x))
+
+
+def _lacks(traces, x):
+    return map(operator.not_, _has(traces, x))
+
+
+def _log_response(traces, a, b):
+    return _lacks(map(operator.itemgetter(2), map(str.rpartition, traces, itertools.repeat(b))), a)
+
+
+def _log_precedence(traces, a, b):
+    return _lacks(map(operator.itemgetter(0), map(str.partition, traces, itertools.repeat(a))), b)
+
+
+def _unchained(traces, a, b):
+    return map(str.replace, traces, itertools.repeat(a + b), itertools.repeat(""))
+
+
+def _log_chain_succession(traces, a, b):
+    rest = list(_unchained(traces, a, b))
+    return map(operator.and_, _lacks(rest, a), _lacks(rest, b))
+
+
+_REFERENCE_RULES = {
+    "Choice": lambda t, a, b: map(operator.or_, _has(t, a), _has(t, b)),
+    "ExclusiveChoice": lambda t, a, b: map(operator.ne, _has(t, a), _has(t, b)),
+    "RespondedExistence": lambda t, a, b: map(operator.le, _has(t, a), _has(t, b)),
+    "Coexistence": lambda t, a, b: map(operator.eq, _has(t, a), _has(t, b)),
+    "Response": _log_response,
+    "Precedence": _log_precedence,
+    "Succession": lambda t, a, b: map(
+        operator.and_, _log_response(t, a, b), _log_precedence(t, a, b)
+    ),
+    "ChainResponse": lambda t, a, b: _lacks(_unchained(t, a, b), a),
+    "ChainPrecedence": lambda t, a, b: _lacks(_unchained(t, a, b), b),
+    "ChainSuccession": _log_chain_succession,
+}
+_REFERENCE_SAME = {
+    "Precedence": lambda t, a: itertools.repeat(1, len(t)),
+    "AlternatePrecedence": lambda t, a: itertools.repeat(1, len(t)),
+    "RespondedExistence": lambda t, a: itertools.repeat(1, len(t)),
+    "Coexistence": lambda t, a: itertools.repeat(1, len(t)),
+    "ExclusiveChoice": lambda t, a: itertools.repeat(0, len(t)),
+    "Choice": _has,
+}
+
+
+def reference_scan_log(constraints, coded) -> list[bytearray]:
+    """direct.scan_log as it checked one constraint at a time: each rule
+    maps string operations over the traces afresh, and the Alternate
+    kinds are the Chain rules on the traces with every other code deleted."""
+    traces = coded.strings
+    verdicts = []
+    for c in constraints:
+        a, b = chr(coded.codes[c.activation]), chr(coded.codes[c.target])
+        kind = c.kind.camel
+        if a == b:
+            holds = _REFERENCE_SAME.get(kind, _lacks)(traces, a)
+        elif kind.startswith("Alternate"):
+            others = dict.fromkeys(range(len(coded.codes) + 1))
+            del others[ord(a)], others[ord(b)]
+            end = chr(len(coded.codes) + 1)
+            kept = coded.text.translate(others).split(end)[:-1]
+            holds = _REFERENCE_RULES[kind.replace("Alternate", "Chain")](kept, a, b)
+        else:
+            holds = _REFERENCE_RULES[kind](traces, a, b)
+        verdicts.append(bytearray(holds))
+    return verdicts
+
+
+def reference_walk_log(dfas, coded) -> list[bytearray]:
+    """automata.walk_log as it stepped one event at a time: each automaton
+    reads every trace through its own dense table."""
+    verdicts = []
+    for dfa in dfas:
+        column = [len(dfa.named)] * (len(coded.codes) + 1)
+        for i, a in enumerate(dfa.named):
+            code = coded.codes.get(a)
+            if code is not None:
+                column[code] = i
+        table = [[row[c] for c in column] for row in dfa.moves]
+        events = iter(coded.events)
+        accepts = bytearray()
+        for n in coded.lengths:
+            state = dfa.initial
+            for code in itertools.islice(events, n):
+                state = table[state][code]
+            accepts.append(state in dfa.accepting)
+            next(events)
+        verdicts.append(accepts)
+    return verdicts

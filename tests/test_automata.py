@@ -381,6 +381,20 @@ _EXPORT_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['G("a\\"b" -> F "c\\\\d")', 'G("é" -> X "日 🙂")', 'F "tab\there" | "x\x7fy" U b'],
+    ids=["quote_backslash", "non_ascii", "control"],
+)
+def test_facts_json_is_the_layout_json_dumps_gives(text):
+    """Formula labels with quotes, backslashes and non-ASCII text: the
+    facts, kind included, read as json.dumps(..., indent=2) writes them."""
+    f = parse_formula(text)
+    dfa = minimize(compile_formula(f))
+    kind = pretty(f)
+    assert to_facts_json(dfa, kind) == json.dumps(to_facts_dict(dfa, kind), indent=2) + "\n"
+
+
 def test_template_exports_are_pinned():
     """Every template's facts and dot bytes, so minimize's canonical
     numbering cannot drift."""

@@ -1,10 +1,13 @@
 """Tests for activities, traces, logs, and model containers."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from declarekit import (
     Activity,
@@ -205,3 +208,14 @@ def test_record_constructor_takes_each_field_once():
     ):
         with pytest.raises(TypeError, match="QueryTerm"):
             QueryTerm(*args, **kwargs)
+
+
+@given(st.text())
+@example('quote" back\\ slash')
+@example("~ printable ASCII !")
+@example("del\x7f nul\x00 nl\n")
+@example("é 日 🙂 \u2028 \ud800")
+def test_json_string_escapes_as_json_dumps(text):
+    from declarekit.core import json_string
+
+    assert json_string(text) == json.dumps(text)

@@ -1,6 +1,5 @@
 """Tests for the backend cross-validation harness."""
 
-import itertools
 import json
 
 import pytest
@@ -64,8 +63,8 @@ def test_planted_split_verdict_is_reported(monkeypatch):
     """A direct Response rule that never fails splits direct from tree and
     dfa on exactly the traces that violate Response, in canonical order."""
 
-    def never_fails(traces, act, tgt):
-        return itertools.repeat(True, len(traces))
+    def never_fails(scan, act, tgt):
+        return scan.ones  # the column that holds on every trace
 
     monkeypatch.setitem(direct._LOG_RULES, TemplateKind.RESPONSE, never_fails)
     out = exhaustive_check(max_len=4)
