@@ -119,7 +119,8 @@ class Dfa(Record):
 # continuation satisfies f. Strong next must not become satisfiable on
 # the empty continuation, so it carries a "continuation is non-empty"
 # marker (F true); weak next dually carries "continuation is empty"
-# (G false). Both markers vanish under minimization.
+# (G false). Both markers vanish under minimization. Nodes are interned,
+# so both are memoised: a node shared in a DAG progresses once per symbol.
 
 Residual = frozenset[frozenset[Formula]]
 
@@ -146,6 +147,7 @@ def _or(x: Residual, y: Residual) -> Residual:
     return _absorb(x | y)
 
 
+@lru_cache(maxsize=4096)
 def _residual(f: Formula) -> Residual:
     """A formula in negation normal form as a residual."""
     if isinstance(f, TrueConst):
@@ -159,6 +161,7 @@ def _residual(f: Formula) -> Residual:
     return frozenset({frozenset({f})})
 
 
+@lru_cache(maxsize=4096)
 def _progress(f: Formula, sym: SymbolClass) -> Residual:
     """Progress a formula in negation normal form, as compile_formula
     feeds it: no -> or <->, and negation only on atoms."""
@@ -560,7 +563,7 @@ def to_dot(
         for col, t in enumerate(row):
             grouped.setdefault(t, []).append(names[col])
         for t in sorted(grouped):
-            label = ", ".join(grouped[t])
+            label = ", ".join(grouped[t]).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  q{s} -> q{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

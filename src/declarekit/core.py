@@ -20,7 +20,8 @@ class Activity:
     and never names an activity.
 
     The intern pool is process-global and only grows: every label ever
-    read stays alive until the process exits.
+    read stays alive until the process exits. Formula nodes have a pool
+    of the same kind (`ltlf.Formula`).
     """
 
     __slots__ = ("_label",)

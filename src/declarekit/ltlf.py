@@ -1,8 +1,8 @@
 """Finite-trace temporal formulas: syntax, templates, and evaluation.
 
-Formulas are immutable trees over activity atoms with the operators
-!, &, |, ->, <->, X (strong next), Xw (weak next), U, R, W, F, G.
-Satisfaction is over finite traces: X requires a successor position,
+Formulas are immutable, interned DAGs over activity atoms with the
+operators !, &, |, ->, <->, X (strong next), Xw (weak next), U, R, W, F,
+G. Satisfaction is over finite traces: X requires a successor position,
 U demands its right operand at some reachable position, and the empty
 trace is handled by a structural valuation (`ev_empty`).
 """
@@ -10,6 +10,7 @@ trace is handled by a structural valuation (`ev_empty`).
 from __future__ import annotations
 
 import re
+import threading
 from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
@@ -18,13 +19,33 @@ from .core import Activity, CodedLog, Record, TemplateKind, Trace, code_events, 
 
 
 class Formula(Record):
-    """Base class for formula nodes. Instances are immutable and hashable.
-
-    Equality and hashing are written once per arity, as they run in every
-    set of formulas that compilation builds.
+    """Base class for formula nodes, immutable and interned: building a
+    node of the class and fields of one already built, given by position,
+    gives back that node, as `Activity` does for a label. So equality and
+    hashing are identity, and a formula is a DAG whose equal subformulas
+    are one node. The pool is process-global and only grows, like
+    `Activity._pool`: every node built stays alive until the process exits.
     """
 
     __slots__ = ()
+
+    _pool: dict[tuple, "Formula"] = {}
+    _lock = threading.Lock()
+
+    def __new__(cls, *fields) -> "Formula":
+        key = (cls, *fields)
+        node = Formula._pool.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            Record.__init__(node, *fields)
+            with Formula._lock:
+                node = Formula._pool.setdefault(key, node)
+        return node
+
+    # __new__ sets the fields; equality and hashing are object's.
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def children(self) -> tuple["Formula", ...]:
         return ()
@@ -44,31 +65,9 @@ class FalseConst(Formula):
 class Atom(Formula):
     __slots__ = _fields = ("activity",)
 
-    def __init__(self, activity: Activity) -> None:
-        object.__setattr__(self, "activity", activity)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.activity,) == (other.activity,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.activity,))
-
 
 class _Unary(Formula):
     __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg: Formula) -> None:
-        object.__setattr__(self, "arg", arg)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.arg,) == (other.arg,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.arg,))
 
     def children(self) -> tuple[Formula, ...]:
         return (self.arg,)
@@ -77,18 +76,6 @@ class _Unary(Formula):
 class _Binary(Formula):
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
 
@@ -96,25 +83,17 @@ class _Binary(Formula):
 class _Nary(Formula):
     __slots__ = _fields = ("args",)
 
-    def __init__(self, args: tuple[Formula, ...]) -> None:
+    def __new__(cls, args: tuple[Formula, ...]) -> "_Nary":
         if len(args) < 2:
-            raise ValueError(f"{type(self).__name__} needs at least two operands")
-        object.__setattr__(self, "args", args)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.args,) == (other.args,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.args,))
+            raise ValueError(f"{cls.__name__} needs at least two operands")
+        return super().__new__(cls, args)
 
     def children(self) -> tuple[Formula, ...]:
         return self.args
 
 
-# The operators add no fields to their arity's class. Its __eq__ still
-# requires the same class, and __repr__ names the subclass.
+# The operators add no fields to their arity's class. The pool's key holds
+# the class, so nodes of one arity differ by it; __repr__ names the subclass.
 
 class Not(_Unary):
     __slots__ = ()
@@ -265,7 +244,7 @@ def _unquote(tok: str, offset: int) -> str:
 # parser's cursor, and the operators on any path from the root to a leaf
 # of the tree it builds. Under the interpreter's default recursion limit
 # the parser fails at about 150 nested brackets (seven frames each), and
-# nnf and compile_formula at about 400 nested operators; this bound stays
+# nnf and compile_formula at about 330 nested operators; this bound stays
 # below both.
 _MAX_NESTING = 100
 
@@ -416,14 +395,15 @@ def pretty(f: Formula) -> str:
 # Node enumeration
 
 def subformulas(f: Formula) -> list[Formula]:
-    """All nodes in preorder."""
-    out: list[Formula] = []
+    """Each distinct node once, in preorder."""
+    seen: dict[Formula, None] = {}  # in the order first seen
     stack = [f]
     while stack:
         node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children()))
-    return out
+        if node not in seen:
+            seen[node] = None
+            stack.extend(reversed(node.children()))
+    return list(seen)
 
 
 # --------------------------------------------------------------------------
@@ -478,6 +458,7 @@ def template_formula(kind: TemplateKind, activation: Activity, target: Activity)
 # --------------------------------------------------------------------------
 # Empty-trace valuation
 
+@lru_cache(maxsize=4096)
 def ev_empty(f: Formula) -> bool:
     """Truth value on the empty trace.
 
@@ -514,12 +495,21 @@ def nnf(f: Formula) -> Formula:
     """Push negation to atoms; -> and <-> are expanded away.
 
     Dualities: !X = Xw !, !U = R of negations, !W = F of the negated left
-    conjoined with R of the negations, !F = G !, !G = F !.
+    conjoined with R of the negations, !F = G !, !G = F !. Each distinct
+    node is rewritten once per polarity, and the result shares the rewrites.
     """
-    return _nnf(f, True)
+    return _nnf(f, True, {})
 
 
-def _nnf(f: Formula, positive: bool) -> Formula:
+def _nnf(f: Formula, positive: bool, memo: dict) -> Formula:
+    done = memo.get((f, positive))
+    if done is None:
+        done = memo[f, positive] = _rewrite(f, positive, memo)
+    return done
+
+
+def _rewrite(f: Formula, positive: bool, memo: dict) -> Formula:
+    """f in negation normal form, or its negation's when not `positive`."""
     if isinstance(f, TrueConst):
         return TRUE if positive else FALSE
     if isinstance(f, FalseConst):
@@ -528,25 +518,25 @@ def _nnf(f: Formula, positive: bool) -> Formula:
         return f if positive else Not(f)
     cls = type(f)
     if cls is Not:
-        return _nnf(f.arg, not positive)
+        return _nnf(f.arg, not positive, memo)
     if cls is Implies:
         if positive:
-            return Or((_nnf(f.left, False), _nnf(f.right, True)))
-        return And((_nnf(f.left, True), _nnf(f.right, False)))
+            return Or((_nnf(f.left, False, memo), _nnf(f.right, True, memo)))
+        return And((_nnf(f.left, True, memo), _nnf(f.right, False, memo)))
     if cls is Iff:
-        l_pos, l_neg = _nnf(f.left, True), _nnf(f.left, False)
-        r_pos, r_neg = _nnf(f.right, True), _nnf(f.right, False)
+        l_pos, l_neg = _nnf(f.left, True, memo), _nnf(f.left, False, memo)
+        r_pos, r_neg = _nnf(f.right, True, memo), _nnf(f.right, False, memo)
         if positive:
             return Or((And((l_pos, r_pos)), And((l_neg, r_neg))))
         return Or((And((l_pos, r_neg)), And((l_neg, r_pos))))
     if cls is WeakUntil and not positive:
-        neg_l = _nnf(f.left, False)
-        return And((Eventually(neg_l), Release(neg_l, _nnf(f.right, False))))
+        neg_l = _nnf(f.left, False, memo)
+        return And((Eventually(neg_l), Release(neg_l, _nnf(f.right, False, memo))))
     if cls not in _SYNTAX:
         raise TypeError(f"not a formula node: {f!r}")
     if not positive:
         cls = _DUAL[cls]
-    args = tuple(_nnf(x, positive) for x in f.children())
+    args = tuple(_nnf(x, positive, memo) for x in f.children())
     return cls(args) if isinstance(f, _Nary) else cls(*args)
 
 

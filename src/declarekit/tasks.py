@@ -112,7 +112,7 @@ class VerdictMatrix(Mapping[tuple[int, int], bool]):
 
     `columns[j][i]` is 1 when constraint_ids[j] holds on trace_ids[i] and
     0 otherwise. Keys run constraint by constraint, each over the traces
-    in order; the view equals the dict of the same cells.
+    in order; the view equals and prints as the dict of the same cells.
     """
 
     __slots__ = ("trace_ids", "constraint_ids", "columns", "_rows", "_cols")
@@ -142,6 +142,9 @@ class VerdictMatrix(Mapping[tuple[int, int], bool]):
 
     def __reduce__(self):
         return VerdictMatrix, (self.trace_ids, self.constraint_ids, self.columns)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 class SupportView(Mapping[int, "Fraction"]):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,10 +30,10 @@ from declarekit import (
 from declarekit import automata
 from declarekit.automata import walk_log
 from declarekit.core import code_events
-from declarekit.ltlf import FALSE, TRUE
+from declarekit.ltlf import FALSE, TRUE, atoms, eval_log, ev_empty, nnf, subformulas
 
 from oracles import all_traces, assert_minimal, naive_eval
-from test_ltlf import _any_formula, sweep_with_empty_traces
+from test_ltlf import _any_formula, iff_chain, sweep_with_empty_traces
 
 A, B, C = Activity("a"), Activity("b"), Activity("c")
 
@@ -321,6 +322,41 @@ def test_dot_output_shape():
     assert dot.startswith("digraph")
     assert "doublecircle" in dot
     assert "arg_0" in dot and "*" in dot
+
+
+def test_iff_chains_compile_as_their_two_term_equivalents():
+    """A 22-term a <-> b chain, alone, under G and left of U, gives the
+    minimal DFA of its 2-term equivalent. Progression steps each distinct
+    node of the normal form at most once per symbol, and ev_empty values
+    each distinct node at most once, counted by the misses of their memos.
+    The chain's normal form, a DAG whose tree has more than 2^22 leaves,
+    compiles and evaluates too."""
+    chain = iff_chain(22)
+    coded = code_events(sweep_with_empty_traces(5), (A, B, C))
+    for text in ("{}", "G({})", "F({}) U c"):
+        f, two = parse_formula(text.format(chain)), parse_formula(text.format("a <-> b"))
+        dag = nnf(f)
+        nodes = len(subformulas(dag)) + 4  # and the markers of X and Xw
+        progressed, valued = automata._progress.cache_info(), ev_empty.cache_info()
+        dfa = minimize(compile_formula(f))
+        assert ev_empty(dag) == ev_empty(f) == ev_empty(two), text
+        progressed = automata._progress.cache_info().misses - progressed.misses
+        assert progressed <= nodes * (len(atoms(f)) + 1), text
+        assert ev_empty.cache_info().misses - valued.misses <= nodes + len(subformulas(f)), text
+        assert dfa == minimize(compile_formula(two)) == minimize(compile_formula(dag)), text
+        assert eval_log([dag, f], coded) == eval_log([two, two], coded), text
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    """Every edge label is one DOT string, which reads back as the labels."""
+    dfa = minimize(compile_formula(parse_formula(r'"say \"hi\"" U "back\\slash"')))
+    edges = [line for line in to_dot(dfa).splitlines() if "[label=" in line and " -> " in line]
+    names = set()
+    for line in edges:
+        m = re.fullmatch(r'  q\d+ -> q\d+ \[label="((?:[^"\\]|\\.)*)"\];', line)
+        assert m is not None, line
+        names.update(re.sub(r"\\(.)", r"\1", m.group(1)).split(", "))
+    assert names == {'say "hi"', "back\\slash", "*"}
 
 
 # SHA-256 of to_facts_json(dfa, kind.camel) and of to_dot(dfa) for each

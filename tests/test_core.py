@@ -154,7 +154,10 @@ def _records():
 
 def test_records_round_trip_and_stay_frozen():
     """Equality, hashing, deep copies and every pickle protocol give back
-    an equal record; no field can be assigned or deleted."""
+    an equal record, and a formula node itself, as nodes are interned; no
+    field can be assigned or deleted."""
+    from declarekit.ltlf import Formula
+
     for record in _records():
         twins = [copy.deepcopy(record)] + [
             pickle.loads(pickle.dumps(record, protocol))
@@ -164,8 +167,10 @@ def test_records_round_trip_and_stay_frozen():
             digest = hash(record)
         except TypeError:  # a record that holds a dict cannot be hashed
             digest = None
+        interned = isinstance(record, Formula)
         for twin in twins:
-            assert type(twin) is type(record) and twin is not record, repr(record)
+            assert type(twin) is type(record), repr(record)
+            assert (twin is record) == interned, repr(record)
             assert twin == record and not twin != record, repr(record)
             if digest is not None:
                 assert hash(twin) == digest, repr(record)
@@ -183,8 +188,8 @@ def test_record_equality_needs_the_same_class_and_fields():
     from declarekit.ltlf import Atom, Eventually, Globally
 
     a = Atom(Activity("a"))
-    assert Eventually(a) == Eventually(a) and Eventually(a) != Globally(a)
-    assert hash(Eventually(a)) == hash((a,))
+    assert Eventually(a) is Eventually(a) and Eventually(a) != Globally(a)
+    assert Eventually(Atom(Activity("a"))) is Eventually(a)
     assert Variable("x") != Variable("y") and Variable("x") != "x"
     assert hash(Variable("x")) == hash(("x",))
     assert repr(Variable("x")) == "Variable(name='x')"

@@ -175,3 +175,13 @@ def test_supports_view_reads_as_the_dict_of_fractions():
     empty = conformance_check(EventLog(()), model)
     assert empty.supports == {c.id: Fraction(0) for c in model.constraints}
     assert b'"0": "0/1"' in write_report(empty)
+
+
+def test_report_repr_shows_every_cell_and_no_address():
+    traces = [Trace.from_labels(i, word) for i, word in enumerate(["ab", "ba", ""])]
+    model = DeclareModel(_constraints([(A, B)]))
+    for backend in Backend:
+        reports = [conformance_check(EventLog(traces), model, backend) for _ in range(2)]
+        text = repr(reports[0])
+        assert "object at" not in text and text == repr(reports[1])
+        assert repr(reports[0].matrix) == repr(dict(reports[0].matrix))

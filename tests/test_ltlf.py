@@ -4,6 +4,8 @@ import copy
 import itertools
 import pickle
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -69,9 +71,32 @@ def test_nodes_of_one_arity_differ_by_class():
 def test_equal_nodes_hash_equal():
     f = parse_formula("G(a -> X(!a U b)) & (a R b) & Xw F a")
     g = parse_formula("G(a -> X(!a U b)) & (a R b) & Xw F a")
-    assert f == g and f is not g
+    assert f is g
     assert hash(f) == hash(g)
     assert {f: 1}[g] == 1
+
+
+def test_threads_building_the_same_nodes_get_one_object_each():
+    """Threads that build the same new nodes at once all get the pool's."""
+    texts = [iff_chain(8, f"thread{i}_") for i in range(40)]  # atoms no other test uses
+    built = [None] * 4
+
+    def build(k):
+        built[k] = [parse_formula(text) for text in texts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(built))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for nodes in built:
+        assert all(node is first for node, first in zip(nodes, built[0], strict=True))
 
 
 def test_nodes_are_frozen_and_slotted():
@@ -636,19 +661,9 @@ def test_log_evaluation_matches_oracle_on_every_short_trace(monkeypatch):
     traces = sweep_with_empty_traces(8)
     verdicts = eval_log(formulas, code_events(traces, (A, B)))
     assert [len(column) for column in verdicts] == [len(traces)] * len(formulas)
-    # Equal subformulas of the oracle's cores become one object, so that
+    # Equal subformulas of the oracle's cores are one interned node, so
     # the per-trace memo serves them once across all 39 formulas.
-    shared: dict = {}
-
-    def intern(g):
-        kids = tuple(intern(k) for k in g.children())
-        if isinstance(g, ltlf._Nary):
-            g = type(g)(kids)
-        elif kids:
-            g = type(g)(*kids)
-        return shared.setdefault(g, g)
-
-    cores = [intern(desugar(f)) for f in formulas]
+    cores = [desugar(f) for f in formulas]
     for i, trace in enumerate(traces):
         if trace.events:
             sat = _memoize_sat(monkeypatch)
@@ -754,3 +769,25 @@ def test_nnf_preserves_meaning_bulk_random():
             0, [rng.choice(atoms) for _ in range(rng.randrange(8))]
         )
         assert eval_tree(nnf(f), trace) == eval_tree(f, trace), pretty(f)
+
+
+def iff_chain(n, prefix=""):
+    """The text a <-> b <-> a <-> ... of n terms. nnf puts each side of a
+    <-> in both polarities, so its tree after nnf has more than 2^n leaves."""
+    return " <-> ".join(prefix + "ab"[i % 2] for i in range(n))
+
+
+@pytest.mark.parametrize("n", (8, 16, 32))
+def test_nnf_of_an_iff_chain_is_a_dag_of_linearly_many_nodes(n, monkeypatch):
+    """nnf rewrites each distinct node at most once per polarity and shares
+    the rewrites, counted by its calls, by a distinct-node walk and by the
+    pool's growth."""
+    f = parse_formula(iff_chain(n, f"cliff{n}_"))  # atoms that no other test uses
+    rewrites = []
+    rewrite = ltlf._rewrite
+    monkeypatch.setattr(ltlf, "_rewrite", lambda *args: rewrites.append(args[:2]) or rewrite(*args))
+    pooled = len(ltlf.Formula._pool)
+    g = nnf(f)
+    assert len(rewrites) <= 2 * len(subformulas(f)) == 2 * n + 2
+    assert len(ltlf.Formula._pool) - pooled <= len(subformulas(g)) <= 6 * n
+    assert nnf(f) is g and atoms(g) == atoms(f)
