@@ -33,6 +33,7 @@ from .ltlf import (
     Until,
     WeakNext,
     WeakUntil,
+    _depth_guarded,
     atoms,
     ev_empty,
     nnf,
@@ -190,6 +191,7 @@ def _progress(f: Formula, sym: SymbolClass) -> Residual:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+@_depth_guarded
 def compile_formula(f: Formula, *, state_budget: int = 4096) -> Dfa:
     """Build the DFA of a formula by exhaustive progression.
 

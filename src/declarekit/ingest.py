@@ -739,10 +739,11 @@ def _parse_csv_rows(text: str) -> EventLog:
     if text.startswith(_BOM):
         buffer.read(1)
     reader = csv.reader(buffer)
-    cases: dict[str, list] = {}  # case id -> codes, or (position, code)
+    cases: dict[str, list | dict] = {}  # case id -> codes, or position -> code
     codes: dict[str, int] = {}  # label -> its code
     first_lines: dict[str, int] = {}  # case id -> the line of its first row
     faults: list[IngestError] = []
+    repeated = False  # whether a row repeated a position of its case
     with_pos = False
     try:
         header = next(reader, None)
@@ -771,13 +772,17 @@ def _parse_csv_rows(text: str) -> EventLog:
                 raise IngestError(str(exc), line) from None
             entries = cases.get(case)
             if entries is None:
-                entries = cases[case] = []
+                entries = cases[case] = {} if with_pos else []
                 first_lines[case] = line
             if with_pos:
                 try:
-                    entries.append((int(row[2]), code))
+                    pos = int(row[2])
                 except ValueError:
                     raise IngestError(f"bad position {row[2]!r}", line) from None
+                if pos in entries and not repeated:
+                    repeated = True
+                    faults.append(IngestError(f"case {case!r} repeats a position", line))
+                entries[pos] = code
             else:
                 entries.append(code)
     except csv.Error as exc:
@@ -786,9 +791,7 @@ def _parse_csv_rows(text: str) -> EventLog:
         faults.append(exc)
     del reader, buffer  # the StringIO holds a copy of the whole text
 
-    # Faults that only the rows read together show. The row of a repeated
-    # position is found by reading the document again, so a document that
-    # loads pays nothing for it.
+    # Faults that only the rows read together show.
     ids = []
     for case, line in first_lines.items():
         try:
@@ -807,35 +810,12 @@ def _parse_csv_rows(text: str) -> EventLog:
                 break
             seen.add(tid)
 
-    runs = list(cases.values())
-    if with_pos:
-        for i, entries in enumerate(runs):
-            if len({pos for pos, _ in entries}) != len(entries):
-                faults.append(_repeated_position(text))
-                break
-            entries.sort()  # positions are unique, so they alone decide the order
-            runs[i] = [code for _, code in entries]
     if faults:
         raise min(faults, key=lambda exc: exc.line or 0)
+    runs = list(cases.values())
+    if with_pos:
+        runs = [[entries[pos] for pos in sorted(entries)] for entries in runs]
     return EventLog.from_codes(ids, runs, codes)
-
-
-def _repeated_position(text: str) -> IngestError:
-    """The fault of the first row that repeats a position of its case; the
-    rows before it must be well formed, as _parse_csv_rows read them."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    seen = set()
-    end = reader.line_num
-    for row in reader:
-        line = end + 1
-        end = reader.line_num
-        if row:
-            key = (row[0], int(row[2]))
-            if key in seen:
-                return IngestError(f"case {row[0]!r} repeats a position", line)
-            seen.add(key)
-    raise AssertionError("no row repeats a position")
 
 
 def _csv_row(label: str) -> str:

@@ -1,32 +1,25 @@
 """Synthetic labeled logs drawn uniformly from constraint languages.
 
-A generator automaton is the product of a template DFA (complemented for
-the negative class) with two occurrence automata demanding at least one
-activation and one target. Path counts per (state, remaining length) use
-arbitrary precision integers, weighting the wildcard class by the number
-of concrete activities it stands for, so sampling is exactly uniform
-over the accepted strings of the requested length.
+A generator automaton is the minimal DFA of `f & F a & F b`, for the
+template's formula f over its activation a and target b, or of
+`!f & F a & F b` for the negative class. Path counts per (state,
+remaining length) use arbitrary precision integers, weighting the
+wildcard class by the number of concrete activities it stands for, so
+sampling is exactly uniform over the accepted strings of the requested
+length.
 """
 
 from __future__ import annotations
 
 import random
 
-from .automata import Dfa, complement, minimize, product, template_dfa
+from .automata import Dfa, compile_formula, minimize
 from .core import Activity, Constraint, EventLog, Record, Trace
+from .ltlf import And, Atom, Eventually, Not, template_formula
 
 
 class GeneratorError(ValueError):
     """The requested language slice is empty or the setup is inconsistent."""
-
-
-def _occurrence_dfa(activity: Activity, named: tuple[Activity, ...]) -> Dfa:
-    """Two states: everything loops once the activity has been seen."""
-    col = named.index(activity)
-    width = len(named) + 1
-    row0 = tuple(1 if c == col else 0 for c in range(width))
-    row1 = tuple(1 for _ in range(width))
-    return Dfa(named=named, moves=(row0, row1), initial=0, accepting=frozenset({1}))
 
 
 def build_generator(constraint: Constraint, alphabet_size: int, positive: bool = True) -> Dfa:
@@ -34,18 +27,9 @@ def build_generator(constraint: Constraint, alphabet_size: int, positive: bool =
     constraint (positive) or violate it (negative)."""
     if alphabet_size < 2:
         raise GeneratorError("alphabet size must be at least 2")
-    base = template_dfa(constraint.kind, constraint.activation, constraint.target)
-    if len(base.named) > alphabet_size:
-        raise GeneratorError(
-            f"alphabet size {alphabet_size} cannot cover {len(base.named)} named activities"
-        )
-    if not positive:
-        base = complement(base)
-    return minimize(product(
-        base,
-        _occurrence_dfa(constraint.activation, base.named),
-        _occurrence_dfa(constraint.target, base.named),
-    ))
+    f = template_formula(constraint.kind, constraint.activation, constraint.target)
+    occur = [Eventually(Atom(x)) for x in (constraint.activation, constraint.target)]
+    return minimize(compile_formula(And((f if positive else Not(f), *occur))))
 
 
 def generator_alphabet(named: tuple[Activity, ...], alphabet_size: int) -> tuple[Activity, ...]:
@@ -96,9 +80,6 @@ class PathCountTable(Record):
                 )
             )
         return cls(dfa=dfa, alphabet_size=alphabet_size, counts=tuple(levels))
-
-    def count(self, state: int, remaining: int) -> int:
-        return self.counts[remaining][state]
 
     def total(self, length: int) -> int:
         return self.counts[length][self.dfa.initial]
@@ -203,15 +184,12 @@ def generate_log(
             )
         halves.append(table)
 
-    traces = []
-    labels = []
-    half = n_traces // 2
-    for tid in range(n_traces):
-        positive = tid < half
-        events = sample_trace(halves[0 if positive else 1], length, mix_seed(seed, tid))
-        traces.append(Trace(tid, events))
-        labels.append(positive)
-    return GeneratedLog(log=EventLog(traces), labels=tuple(labels))
+    labels = tuple(tid < n_traces // 2 for tid in range(n_traces))
+    traces = [
+        Trace(tid, sample_trace(halves[0 if positive else 1], length, mix_seed(seed, tid)))
+        for tid, positive in enumerate(labels)
+    ]
+    return GeneratedLog(log=EventLog(traces), labels=labels)
 
 
 def write_label_manifest(generated: GeneratedLog) -> str:

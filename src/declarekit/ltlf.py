@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import threading
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import itemgetter
 from typing import Sequence
 
@@ -249,6 +249,22 @@ def _unquote(tok: str, offset: int) -> str:
 _MAX_NESTING = 100
 
 
+def _depth_guarded(walk):
+    """`walk`, raising ValueError on a formula too deep for the recursion
+    limit, as one built through the API rather than the parser may be."""
+
+    @wraps(walk)
+    def guarded(*args, **kwargs):
+        try:
+            return walk(*args, **kwargs)
+        except RecursionError:
+            raise ValueError(
+                f"formula nests too deeply; the parser reads at most {_MAX_NESTING} levels"
+            ) from None
+
+    return guarded
+
+
 class _Parser:
     """Precedence climbing over _BINARY_LEVELS, with unary operators and
     operands below the tightest level. An operator is found by its token's
@@ -367,10 +383,8 @@ def _pp(f: Formula, level: int) -> str:
     operand at their own level, every other operand one level tighter."""
     if isinstance(f, Atom):
         return _atom_text(f.activity)
-    if isinstance(f, TrueConst):
-        return "true"
-    if isinstance(f, FalseConst):
-        return "false"
+    if isinstance(f, (TrueConst, FalseConst)):
+        return "true" if f is TRUE else "false"
     syntax = _SYNTAX.get(type(f))
     if syntax is None:
         raise TypeError(f"not a formula node: {f!r}")
@@ -386,6 +400,7 @@ def _pp(f: Formula, level: int) -> str:
     return f"({text})" if level > own else text
 
 
+@_depth_guarded
 def pretty(f: Formula) -> str:
     """Render with minimal parentheses; parse_formula(pretty(f)) == f."""
     return _pp(f, 0)
@@ -409,50 +424,43 @@ def subformulas(f: Formula) -> list[Formula]:
 # --------------------------------------------------------------------------
 # Template expansion
 
+_K = TemplateKind
+
+# Each template's formula over the atoms of its activation a and target b.
+_TEMPLATES = {
+    _K.CHOICE: lambda a, b: Eventually(Or((a, b))),
+    _K.EXCLUSIVE_CHOICE:
+        lambda a, b: And((Eventually(Or((a, b))), Not(And((Eventually(a), Eventually(b)))))),
+    _K.RESPONDED_EXISTENCE: lambda a, b: Implies(Eventually(a), Eventually(b)),
+    _K.COEXISTENCE: lambda a, b: And((
+        Implies(Eventually(a), Eventually(b)), Implies(Eventually(b), Eventually(a))
+    )),
+    _K.RESPONSE: lambda a, b: Globally(Implies(a, Eventually(b))),
+    _K.PRECEDENCE: lambda a, b: WeakUntil(Not(b), a),
+    _K.ALTERNATE_RESPONSE: lambda a, b: Globally(Implies(a, Next(Until(Not(a), b)))),
+    _K.ALTERNATE_PRECEDENCE: lambda a, b: And((
+        WeakUntil(Not(b), a), Globally(Implies(b, WeakNext(WeakUntil(Not(b), a))))
+    )),
+    _K.CHAIN_RESPONSE: lambda a, b: Globally(Implies(a, Next(b))),
+    _K.CHAIN_PRECEDENCE: lambda a, b: And((Globally(Implies(Next(b), a)), Not(b))),
+}
+# A Succession kind is its Response row and its Precedence row, conjoined.
+_TEMPLATES.update({
+    whole: lambda a, b, r=_TEMPLATES[response], p=_TEMPLATES[precedence]: And((r(a, b), p(a, b)))
+    for whole, response, precedence in (
+        (_K.SUCCESSION, _K.RESPONSE, _K.PRECEDENCE),
+        (_K.ALTERNATE_SUCCESSION, _K.ALTERNATE_RESPONSE, _K.ALTERNATE_PRECEDENCE),
+        (_K.CHAIN_SUCCESSION, _K.CHAIN_RESPONSE, _K.CHAIN_PRECEDENCE),
+    )
+})
+
+
 def template_formula(kind: TemplateKind, activation: Activity, target: Activity) -> Formula:
     """The defining formula of a template over concrete activities."""
-    a, b = Atom(activation), Atom(target)
-    K = TemplateKind
-    if kind is K.CHOICE:
-        return Eventually(Or((a, b)))
-    if kind is K.EXCLUSIVE_CHOICE:
-        return And((Eventually(Or((a, b))), Not(And((Eventually(a), Eventually(b))))))
-    if kind is K.RESPONDED_EXISTENCE:
-        return Implies(Eventually(a), Eventually(b))
-    if kind is K.COEXISTENCE:
-        return And((
-            Implies(Eventually(a), Eventually(b)),
-            Implies(Eventually(b), Eventually(a)),
-        ))
-    if kind is K.RESPONSE:
-        return Globally(Implies(a, Eventually(b)))
-    if kind is K.PRECEDENCE:
-        return WeakUntil(Not(b), a)
-    if kind is K.ALTERNATE_RESPONSE:
-        return Globally(Implies(a, Next(Until(Not(a), b))))
-    if kind is K.ALTERNATE_PRECEDENCE:
-        prec = WeakUntil(Not(b), a)
-        return And((prec, Globally(Implies(b, WeakNext(prec)))))
-    if kind is K.CHAIN_RESPONSE:
-        return Globally(Implies(a, Next(b)))
-    if kind is K.CHAIN_PRECEDENCE:
-        return And((Globally(Implies(Next(b), a)), Not(b)))
-    if kind is K.SUCCESSION:
-        return And((
-            template_formula(K.RESPONSE, activation, target),
-            template_formula(K.PRECEDENCE, activation, target),
-        ))
-    if kind is K.ALTERNATE_SUCCESSION:
-        return And((
-            template_formula(K.ALTERNATE_RESPONSE, activation, target),
-            template_formula(K.ALTERNATE_PRECEDENCE, activation, target),
-        ))
-    if kind is K.CHAIN_SUCCESSION:
-        return And((
-            template_formula(K.CHAIN_RESPONSE, activation, target),
-            template_formula(K.CHAIN_PRECEDENCE, activation, target),
-        ))
-    raise ValueError(f"unhandled template kind {kind!r}")
+    build = _TEMPLATES.get(kind)
+    if build is None:
+        raise ValueError(f"unhandled template kind {kind!r}")
+    return build(Atom(activation), Atom(target))
 
 
 # --------------------------------------------------------------------------
@@ -465,11 +473,9 @@ def ev_empty(f: Formula) -> bool:
     Universal operators (G, R, W, Xw) hold vacuously; existential ones
     (F, U, X) and atoms do not. Boolean connectives are structural.
     """
-    if isinstance(f, TrueConst):
+    if isinstance(f, (TrueConst, WeakNext, Release, WeakUntil, Globally)):
         return True
-    if isinstance(f, FalseConst):
-        return False
-    if isinstance(f, Atom):
+    if isinstance(f, (FalseConst, Atom, Next, Until, Eventually)):
         return False
     if isinstance(f, Not):
         return not ev_empty(f.arg)
@@ -481,16 +487,13 @@ def ev_empty(f: Formula) -> bool:
         return (not ev_empty(f.left)) or ev_empty(f.right)
     if isinstance(f, Iff):
         return ev_empty(f.left) == ev_empty(f.right)
-    if isinstance(f, (Next, Until, Eventually)):
-        return False
-    if isinstance(f, (WeakNext, Release, WeakUntil, Globally)):
-        return True
     raise TypeError(f"not a formula node: {f!r}")
 
 
 # --------------------------------------------------------------------------
 # Negation normal form
 
+@_depth_guarded
 def nnf(f: Formula) -> Formula:
     """Push negation to atoms; -> and <-> are expanded away.
 
@@ -510,10 +513,8 @@ def _nnf(f: Formula, positive: bool, memo: dict) -> Formula:
 
 def _rewrite(f: Formula, positive: bool, memo: dict) -> Formula:
     """f in negation normal form, or its negation's when not `positive`."""
-    if isinstance(f, TrueConst):
-        return TRUE if positive else FALSE
-    if isinstance(f, FalseConst):
-        return FALSE if positive else TRUE
+    if isinstance(f, (TrueConst, FalseConst)):
+        return f if positive else (FALSE if f is TRUE else TRUE)
     if isinstance(f, Atom):
         return f if positive else Not(f)
     cls = type(f)
@@ -693,6 +694,7 @@ def _eval_steps(
     return masks
 
 
+@_depth_guarded
 def eval_log(formulas: Sequence[Formula], coded: CodedLog) -> list[bytearray]:
     """Every formula's verdict on every trace of a coded log.
 

@@ -15,6 +15,7 @@ import operator
 from fractions import Fraction
 from xml.etree import ElementTree
 
+from declarekit.automata import Dfa, complement, minimize, product, template_dfa
 from declarekit.core import Activity, EventLog, Trace
 from declarekit.ingest import IngestError, _FactScanner, _as_activity, _as_int, _fact_name
 from declarekit.ltlf import (
@@ -188,6 +189,22 @@ def assert_minimal(dfa) -> None:
     assert seen == set(range(dfa.n_states)), "unreachable states present"
     vectors = {acceptance_vector(dfa, s, dfa.n_states) for s in range(dfa.n_states)}
     assert len(vectors) == dfa.n_states, "equivalent states present"
+
+
+def reference_generator(constraint, positive: bool):
+    """The generator automaton built without its formula: the template's
+    automaton, complemented for the negative half, intersected with two
+    two-state automata that each wait for one argument, then minimized."""
+    base = template_dfa(constraint.kind, constraint.activation, constraint.target)
+    if not positive:
+        base = complement(base)
+    waits = []
+    for activity in (constraint.activation, constraint.target):
+        col = base.named.index(activity)
+        start = tuple(1 if c == col else 0 for c in range(len(base.named) + 1))
+        seen = (1,) * len(start)
+        waits.append(Dfa(base.named, (start, seen), 0, frozenset({1})))
+    return minimize(product(base, *waits))
 
 
 # --------------------------------------------------------------------------

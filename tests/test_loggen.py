@@ -22,6 +22,8 @@ from declarekit import (
 )
 from declarekit.loggen import GeneratorError, mix_seed
 
+from oracles import reference_generator
+
 A0, A1 = Activity("a_0"), Activity("a_1")
 
 
@@ -185,3 +187,16 @@ def test_mix_seed_spreads_streams():
 def test_build_generator_needs_two_symbols():
     with pytest.raises(GeneratorError):
         build_generator(_con(TemplateKind.RESPONSE), 1)
+
+
+@pytest.mark.parametrize("kind", TemplateKind)
+def test_generator_equals_the_product_construction(kind):
+    """The minimal DFA of f & F a & F b (!f for the negative half) is,
+    table for table, the template automaton (complemented) times two
+    occurrence automata, in every argument order."""
+    for activation, target in ((A0, A1), (A1, A0), (A0, A0)):
+        constraint = Constraint(0, kind, activation, target)
+        for positive in (True, False):
+            assert build_generator(constraint, 3, positive) == reference_generator(
+                constraint, positive
+            ), (activation, target, positive)

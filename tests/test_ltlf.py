@@ -334,6 +334,48 @@ def test_nesting_is_bounded_below_every_recursion_limit(shape):
     assert str(err.value) == f"formula nests deeper than {bound} levels (at offset {offset(bound + 1)})"
 
 
+# Chains built through the API, which has no nesting bound: each level
+# wraps the chain so far in one more operator.
+DEEP_CHAINS = {
+    "untils": lambda f: Until(Atom(B), f),
+    "nexts": Next,
+    "conjunctions": lambda f: And((Atom(B), f)),
+}
+
+
+def _chain(shape: str, levels: int):
+    f = Atom(A)
+    for _ in range(levels):
+        f = DEEP_CHAINS[shape](f)
+    return f
+
+
+@pytest.mark.parametrize("shape", DEEP_CHAINS)
+def test_api_formulas_past_the_recursion_limit_raise_value_error(shape):
+    """A chain of 300 levels normalizes, compiles, evaluates and prints.
+    At 400 levels nnf and compile_formula, and at 1,000 all four, raise a
+    ValueError that names the parser's bound, not a RecursionError."""
+    from declarekit import compile_formula
+
+    coded = code_events((Trace(0, (A, B)),), (A, B))
+    walks = {
+        "nnf": nnf,
+        "compile_formula": compile_formula,
+        "eval_log": lambda f: eval_log((f,), coded),
+        "pretty": pretty,
+    }
+    shallow = _chain(shape, 300)
+    for walk in walks.values():
+        walk(shallow)
+    message = f"formula nests too deeply; the parser reads at most {ltlf._MAX_NESTING} levels"
+    for levels, failing in ((400, ("nnf", "compile_formula")), (1000, walks)):
+        deep = _chain(shape, levels)
+        for name in failing:
+            with pytest.raises(ValueError) as err:
+                walks[name](deep)
+            assert str(err.value) == message, (levels, name)
+
+
 _atoms = st.sampled_from([Atom(A), Atom(B), Atom(C)])
 
 
